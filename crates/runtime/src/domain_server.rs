@@ -5,7 +5,6 @@
 use crate::checkpoint::{Checkpoint, HandoffPlan};
 use crate::config_cache::{CacheKey, CompositionCache, CompositionCacheStats};
 use crate::cost_model::{CostModel, LinkKind};
-use crate::event_service::{EventService, RuntimeEvent};
 use crate::overhead::ConfigOverhead;
 use crate::profiler::StageTimes;
 use crate::recovery::{Degradation, RecoveryMode, RecoveryReport};
@@ -17,9 +16,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
-use ubiqos::{
-    Configuration, ConfigureError, ConfigureRequest, ReconfigureTrigger, ServiceConfigurator,
-};
+use ubiqos::{Configuration, ConfigureError, ConfigureRequest, ServiceConfigurator};
 use ubiqos_composition::{ComposedApplication, DegradationLadder, OcReport};
 use ubiqos_discovery::{DeviceProperties, DomainId, ServiceDescriptor, ServiceRegistry};
 use ubiqos_distribution::{
@@ -172,7 +169,8 @@ pub struct PlacementTotals {
 }
 
 /// The per-domain infrastructure server: registry + environment +
-/// repository + event service + the two-tier configurator.
+/// repository + the two-tier configurator. Each session's overhead log
+/// records every reconfiguration it went through.
 ///
 /// The server accounts every running session against the device
 /// capacities: configuration requests see the *residual* environment, so
@@ -199,7 +197,6 @@ pub struct DomainServer {
     device_props: Vec<DeviceProperties>,
     repository: ComponentRepository,
     costs: CostModel,
-    events: EventService,
     sessions: BTreeMap<u64, Session>,
     /// Link bandwidths degraded independently of any crash, keyed by the
     /// ordered endpoint pair: the value a recovering device's links must
@@ -288,7 +285,6 @@ impl DomainServer {
             device_props,
             repository: ComponentRepository::new(),
             costs: CostModel::default(),
-            events: EventService::new(),
             sessions: BTreeMap::new(),
             link_overrides: BTreeMap::new(),
             hosted_stash: BTreeMap::new(),
@@ -319,11 +315,10 @@ impl DomainServer {
     /// retry queue, degradation/retry/recovery policy, link overrides,
     /// the crashed-host service stash, detector belief sets, and the
     /// session-id/clock counters. Soft state is treated as volatile —
-    /// the composition cache restarts cold (PR 4 pins cache-on ≡
-    /// cache-off for every observable output) and event-service
-    /// subscribers are runtime wiring a restarted process re-creates;
-    /// solver state and profiling counters are carried over so bench
-    /// accounting survives a checkpoint unchanged.
+    /// the composition cache restarts cold (cache-on ≡ cache-off is
+    /// pinned for every observable output); solver state and profiling
+    /// counters are carried over so bench accounting survives a
+    /// checkpoint unchanged.
     pub fn clone_for_checkpoint(&self) -> DomainServer {
         DomainServer {
             registry: self.registry.clone(),
@@ -334,7 +329,6 @@ impl DomainServer {
             device_props: self.device_props.clone(),
             repository: self.repository.clone(),
             costs: self.costs.clone(),
-            events: EventService::new(),
             sessions: self.sessions.clone(),
             link_overrides: self.link_overrides.clone(),
             hosted_stash: self.hosted_stash.clone(),
@@ -572,11 +566,6 @@ impl DomainServer {
         &mut self.repository
     }
 
-    /// The event service (subscribe for reconfiguration notifications).
-    pub fn events(&self) -> &EventService {
-        &self.events
-    }
-
     /// The *residual* environment: current capacities minus every live
     /// session's charge.
     pub fn env(&self) -> &Environment {
@@ -720,11 +709,6 @@ impl DomainServer {
             },
         );
         self.now_ms += overhead.total_ms();
-        self.events.publish(RuntimeEvent {
-            at_ms: self.now_ms,
-            session: Some(id.0),
-            trigger: ReconfigureTrigger::ApplicationStarted,
-        });
         Ok(id)
     }
 
@@ -736,20 +720,9 @@ impl DomainServer {
             self.env
                 .refund_cut(&s.configuration.app.graph, &s.configuration.cut)
                 .expect("charged cut has consistent dimensions");
-            self.events.publish(RuntimeEvent {
-                at_ms: self.now_ms,
-                session: Some(id.0),
-                trigger: ReconfigureTrigger::ApplicationStopped,
-            });
             return Some(s);
         }
-        let parked = self.parked.remove(id.0)?;
-        self.events.publish(RuntimeEvent {
-            at_ms: self.now_ms,
-            session: Some(id.0),
-            trigger: ReconfigureTrigger::ApplicationStopped,
-        });
-        Some(parked.session)
+        self.parked.remove(id.0).map(|parked| parked.session)
     }
 
     /// Parks an application *arrival* that could not be activated — the
@@ -797,11 +770,6 @@ impl DomainServer {
         };
         self.parked
             .park(id.0, session, error, self.now_ms, &self.retry_policy);
-        self.events.publish(RuntimeEvent {
-            at_ms: self.now_ms,
-            session: Some(id.0),
-            trigger: ReconfigureTrigger::SessionParked,
-        });
         id
     }
 
@@ -866,14 +834,6 @@ impl DomainServer {
             .overhead_log
             .push((format!("switch {old_device} -> {new_device}"), overhead));
         self.now_ms += overhead.total_ms();
-        self.events.publish(RuntimeEvent {
-            at_ms: self.now_ms,
-            session: Some(id.0),
-            trigger: ReconfigureTrigger::DeviceSwitched {
-                from: old_device,
-                to: new_device,
-            },
-        });
         Ok(plan)
     }
 
@@ -939,13 +899,6 @@ impl DomainServer {
             .overhead_log
             .push((format!("move to {location}"), overhead));
         self.now_ms += overhead.total_ms();
-        self.events.publish(RuntimeEvent {
-            at_ms: self.now_ms,
-            session: Some(id.0),
-            trigger: ReconfigureTrigger::UserMoved {
-                to_location: location,
-            },
-        });
         Ok(plan)
     }
 
@@ -984,9 +937,9 @@ impl DomainServer {
     /// crash — capacity zeroed, hosted instances hidden from discovery,
     /// touching sessions re-placed or parked through the staged
     /// pipeline — because the detector cannot tell a crash from a
-    /// partition. Only the published trigger differs
-    /// ([`ReconfigureTrigger::DeviceSuspected`]), recording that this is
-    /// a belief, not ground truth, and may be withdrawn by
+    /// partition. Only the bookkeeping differs: the device joins the
+    /// suspected set and its lease is revoked, recording that this is a
+    /// belief, not ground truth, and may be withdrawn by
     /// [`DomainServer::heartbeat`].
     pub fn suspect_many(&mut self, devices: &[DeviceId]) -> RecoveryReport {
         let names: Vec<String> = devices.iter().map(ToString::to_string).collect();
@@ -1031,15 +984,6 @@ impl DomainServer {
                     self.hosted_stash.entry(d).or_default().push(desc);
                 }
             }
-            self.events.publish(RuntimeEvent {
-                at_ms: self.now_ms,
-                session: None,
-                trigger: if suspicion {
-                    ReconfigureTrigger::DeviceSuspected(device)
-                } else {
-                    ReconfigureTrigger::DeviceCrashed(device)
-                },
-            });
         }
         self.recovery_pass(label, &delta)
     }
@@ -1053,14 +997,13 @@ impl DomainServer {
     /// or where the other endpoint is still down (those stay at zero).
     pub fn recover_device(&mut self, device: DeviceId) -> RecoveryReport {
         let label = format!("re-place after {device} recovery");
-        self.bring_up(device, &label, ReconfigureTrigger::DeviceRecovered(device))
+        self.bring_up(device, &label)
     }
 
     /// Withdraws a suspicion: the device's lease was renewed again (its
     /// heartbeats reached the server after a heal or recovery), so its
     /// capacity and hosted instances are restored exactly as after a
-    /// real crash+recovery, publishing
-    /// [`ReconfigureTrigger::DeviceReinstated`]. For a *falsely*
+    /// real crash+recovery. For a *falsely*
     /// suspected device (healthy behind a partition) this is the clean
     /// undo the detector owes it: parked sessions become placeable again
     /// and the eager retry drain inside the recovery pass re-admits
@@ -1068,15 +1011,10 @@ impl DomainServer {
     pub fn reinstate_device(&mut self, device: DeviceId) -> RecoveryReport {
         self.suspected.remove(&device.index());
         let label = format!("re-place after {device} reinstatement");
-        self.bring_up(device, &label, ReconfigureTrigger::DeviceReinstated(device))
+        self.bring_up(device, &label)
     }
 
-    fn bring_up(
-        &mut self,
-        device: DeviceId,
-        label: &str,
-        trigger: ReconfigureTrigger,
-    ) -> RecoveryReport {
+    fn bring_up(&mut self, device: DeviceId, label: &str) -> RecoveryReport {
         let d = device.index();
         if let (Some(dev), Some(fresh)) = (self.capacity.device_mut(d), self.pristine.device(d)) {
             dev.set_availability(fresh.availability().clone());
@@ -1107,11 +1045,6 @@ impl DomainServer {
                 self.registry.register(desc);
             }
         }
-        self.events.publish(RuntimeEvent {
-            at_ms: self.now_ms,
-            session: None,
-            trigger,
-        });
         self.recovery_pass(label, &delta)
     }
 
@@ -1210,11 +1143,6 @@ impl DomainServer {
         if !endpoint_down {
             self.capacity.bandwidth_mut().set(key.0, key.1, mbps);
         }
-        self.events.publish(RuntimeEvent {
-            at_ms: self.now_ms,
-            session: None,
-            trigger: ReconfigureTrigger::LinkFluctuation { a, b },
-        });
         let mut delta = ResourceDelta::default();
         delta.links.insert(key);
         self.recovery_pass(&format!("absorb link fluctuation on {a}-{b}"), &delta)
@@ -1231,11 +1159,6 @@ impl DomainServer {
         if let Some(dev) = self.capacity.device_mut(device.index()) {
             dev.set_availability(availability);
         }
-        self.events.publish(RuntimeEvent {
-            at_ms: self.now_ms,
-            session: None,
-            trigger: ReconfigureTrigger::ResourceFluctuation(device),
-        });
         let mut delta = ResourceDelta::default();
         delta.devices.insert(device.index());
         self.recovery_pass(&format!("absorb fluctuation on {device}"), &delta)
@@ -1427,16 +1350,6 @@ impl DomainServer {
                     session.degrade_factor = factor;
                     session.overhead_log.push((label.to_owned(), overhead));
                     self.now_ms += overhead.total_ms();
-                    if factor < old_factor {
-                        self.events.publish(RuntimeEvent {
-                            at_ms: self.now_ms,
-                            session: Some(raw_id),
-                            trigger: ReconfigureTrigger::SessionDegraded {
-                                from: old_factor,
-                                to: factor,
-                            },
-                        });
-                    }
                     if factor >= 1.0 {
                         report.recovered.push(SessionId(raw_id));
                     } else {
@@ -1500,21 +1413,11 @@ impl DomainServer {
             .remove(&raw_id)
             .expect("park_or_drop on a live session");
         if self.retry_policy.max_attempts == 0 {
-            self.events.publish(RuntimeEvent {
-                at_ms: self.now_ms,
-                session: Some(raw_id),
-                trigger: ReconfigureTrigger::ApplicationStopped,
-            });
             report.dropped.push(SessionId(raw_id));
             report.drop_errors.push((SessionId(raw_id), error));
         } else {
             self.parked
                 .park(raw_id, session, error, self.now_ms, &self.retry_policy);
-            self.events.publish(RuntimeEvent {
-                at_ms: self.now_ms,
-                session: Some(raw_id),
-                trigger: ReconfigureTrigger::SessionParked,
-            });
             report.parked.push(SessionId(raw_id));
         }
     }
@@ -1569,11 +1472,6 @@ impl DomainServer {
                         .push(("re-admit from park".to_owned(), overhead));
                     self.now_ms += overhead.total_ms();
                     self.sessions.insert(raw_id, session);
-                    self.events.publish(RuntimeEvent {
-                        at_ms: self.now_ms,
-                        session: Some(raw_id),
-                        trigger: ReconfigureTrigger::SessionReadmitted,
-                    });
                     report.readmitted.push(SessionId(raw_id));
                 }
                 Err(e) if eager => {
@@ -1585,11 +1483,6 @@ impl DomainServer {
                 Err(e) => {
                     parked.attempts += 1;
                     if parked.attempts >= self.retry_policy.max_attempts {
-                        self.events.publish(RuntimeEvent {
-                            at_ms: self.now_ms,
-                            session: Some(raw_id),
-                            trigger: ReconfigureTrigger::ApplicationStopped,
-                        });
                         report.dropped.push(SessionId(raw_id));
                         report.drop_errors.push((SessionId(raw_id), e));
                     } else {
@@ -1659,7 +1552,7 @@ impl DomainServer {
     /// outcome as a session start. The success path replays
     /// [`DomainServer::start_session`]'s commit tail byte-for-byte
     /// (download, initialization pricing, capacity charge, session
-    /// insertion, virtual-time advance, event publication); the failure
+    /// insertion, virtual-time advance); the failure
     /// path re-raises the speculated error, counting a stale view
     /// exactly as the serial admission path would have.
     ///
@@ -1722,11 +1615,6 @@ impl DomainServer {
             },
         );
         self.now_ms += overhead.total_ms();
-        self.events.publish(RuntimeEvent {
-            at_ms: self.now_ms,
-            session: Some(id.0),
-            trigger: ReconfigureTrigger::ApplicationStarted,
-        });
         Ok(id)
     }
 
@@ -2115,30 +2003,6 @@ mod tests {
     }
 
     #[test]
-    fn events_are_published() {
-        let mut server = two_desktop_server();
-        let rx = server.events().subscribe();
-        let id = server
-            .start_session(
-                "audio",
-                audio_app(),
-                QosVector::new(),
-                DeviceId::from_index(1),
-            )
-            .unwrap();
-        server.switch_device(id, DeviceId::from_index(0)).unwrap();
-        server.stop_session(id).unwrap();
-        let events: Vec<RuntimeEvent> = rx.try_iter().collect();
-        assert_eq!(events.len(), 3);
-        assert_eq!(events[0].trigger, ReconfigureTrigger::ApplicationStarted);
-        assert!(matches!(
-            events[1].trigger,
-            ReconfigureTrigger::DeviceSwitched { .. }
-        ));
-        assert_eq!(events[2].trigger, ReconfigureTrigger::ApplicationStopped);
-    }
-
-    #[test]
     fn failed_start_creates_no_session() {
         let mut server = two_desktop_server();
         let mut bogus = AbstractServiceGraph::new();
@@ -2271,7 +2135,6 @@ mod tests {
     fn suspicion_parks_then_heartbeat_reinstates_and_readmits() {
         let mut server = two_desktop_server();
         let idle = server.env().clone();
-        let rx = server.events().subscribe();
         let id = server
             .start_session(
                 "audio",
@@ -2299,17 +2162,6 @@ mod tests {
         // park/reinstate round trip.
         server.stop_session(id).unwrap();
         assert_eq!(server.env(), &idle);
-        let triggers: Vec<ReconfigureTrigger> = rx.try_iter().map(|e| e.trigger).collect();
-        assert!(
-            triggers.contains(&ReconfigureTrigger::DeviceSuspected(DeviceId::from_index(
-                1
-            )))
-        );
-        assert!(
-            triggers.contains(&ReconfigureTrigger::DeviceReinstated(DeviceId::from_index(
-                1
-            )))
-        );
     }
 
     #[test]
@@ -2519,7 +2371,6 @@ mod tests {
         assert!(uses(&server, "server@d1"), "office instance in use");
 
         server.play(10.0);
-        let rx = server.events().subscribe();
         let plan = server
             .move_user(id, Some(lounge), DeviceId::from_index(0))
             .unwrap();
@@ -2531,11 +2382,6 @@ mod tests {
             "recomposed onto the lounge server"
         );
         assert!(s.overhead_log.last().unwrap().0.contains("lounge"));
-        let events: Vec<_> = rx.try_iter().collect();
-        assert!(matches!(
-            events[0].trigger,
-            ReconfigureTrigger::UserMoved { ref to_location } if to_location == "lounge"
-        ));
     }
 
     #[test]

@@ -26,7 +26,9 @@
 //! ## Replay determinism
 //!
 //! Replay re-executes recorded [`ServerCall`]s against the restored
-//! server — it never duplicates handler branch logic. A call whose
+//! server through the same per-kind call code (`exec_*`) the engine's
+//! journaled helpers use live — it never duplicates handler branch
+//! logic. A call whose
 //! live-side bookkeeping depended on the *outcome* (which recovered
 //! session ids were reservation custody at absorb time) carries the
 //! raw session ids actually untracked, so replay applies the same map
@@ -44,9 +46,11 @@
 //! cache-on ≡ cache-off contract (PR 4) makes a cold composition
 //! cache semantically invisible.
 
-use crate::domain_server::SessionId;
+use crate::checkpoint::HandoffPlan;
+use crate::domain_server::{DomainServer, Session, SessionId};
 use crate::faults::apply_fault;
 use crate::federation::Shard;
+use crate::recovery::RecoveryReport;
 use serde::{Deserialize, Serialize};
 use ubiqos::fault_report::fnv1a;
 use ubiqos::{ConfigureError, FaultReport};
@@ -150,8 +154,7 @@ pub(crate) enum WalRecord {
 
 /// A full checkpoint of one shard. The domain server is captured via
 /// [`clone_for_checkpoint`](crate::DomainServer::clone_for_checkpoint)
-/// (fresh event bus, cold composition cache, profiling copied by
-/// value).
+/// (cold composition cache, profiling copied by value).
 pub(crate) struct ShardSnapshot {
     shard: Shard,
 }
@@ -214,10 +217,12 @@ impl ShardWal {
         }
     }
 
-    /// Appends one record (no-op when durability is disabled).
-    pub(crate) fn push(&mut self, rec: WalRecord) {
+    /// Appends the record `build` makes. This is the one durability
+    /// gate: with durability disabled the record is never built, so
+    /// callers journal unconditionally and clone nothing.
+    pub(crate) fn push(&mut self, build: impl FnOnce() -> WalRecord) {
         if self.enabled {
-            self.tail.push(rec);
+            self.tail.push(build());
             self.appended += 1;
         }
     }
@@ -324,8 +329,73 @@ fn apply_record(shard: &mut Shard, rec: &WalRecord, grace_ms: f64) {
     }
 }
 
+/// `start_session` as [`ServerCall::Start`] records it. The `exec_*`
+/// functions are the per-kind call code: the engine's journaled helpers
+/// make their live calls through them and [`apply_call`] replays
+/// through them, so a live call and its replay cannot drift apart.
+pub(crate) fn exec_start(
+    server: &mut DomainServer,
+    name: String,
+    graph: AbstractServiceGraph,
+    qos: QosVector,
+    client_local: usize,
+) -> Result<SessionId, ConfigureError> {
+    server.start_session(name, graph, qos, DeviceId::from_index(client_local))
+}
+
+/// `park_arrival` as [`ServerCall::Park`] records it (shard-wide
+/// discovery scope).
+pub(crate) fn exec_park(
+    server: &mut DomainServer,
+    name: String,
+    graph: AbstractServiceGraph,
+    qos: QosVector,
+    client_local: usize,
+    err: ConfigureError,
+) -> SessionId {
+    server.park_arrival(
+        name,
+        graph,
+        qos,
+        DeviceId::from_index(client_local),
+        None,
+        err,
+    )
+}
+
+/// `stop_session` as [`ServerCall::Stop`] records it.
+pub(crate) fn exec_stop(server: &mut DomainServer, sid: u64) -> Option<Session> {
+    server.stop_session(SessionId::from_raw(sid))
+}
+
+/// `move_user` (shard-wide scope) or `switch_device`, as
+/// [`ServerCall::Move`] / [`ServerCall::Switch`] record them.
+pub(crate) fn exec_relocate(
+    server: &mut DomainServer,
+    sid: u64,
+    to_local: usize,
+    is_move: bool,
+) -> Result<HandoffPlan, ConfigureError> {
+    let (sid, to) = (SessionId::from_raw(sid), DeviceId::from_index(to_local));
+    if is_move {
+        server.move_user(sid, None, to)
+    } else {
+        server.switch_device(sid, to)
+    }
+}
+
+/// `heartbeat` as [`ServerCall::Heartbeat`] records it.
+pub(crate) fn exec_heartbeat(
+    server: &mut DomainServer,
+    device: usize,
+    grace_ms: f64,
+) -> Option<RecoveryReport> {
+    server.heartbeat(DeviceId::from_index(device), grace_ms)
+}
+
 /// Re-executes one journaled server call.
 fn apply_call(shard: &mut Shard, call: &ServerCall, grace_ms: f64) {
+    let server = &mut shard.server;
     match call {
         ServerCall::Start {
             name,
@@ -333,11 +403,12 @@ fn apply_call(shard: &mut Shard, call: &ServerCall, grace_ms: f64) {
             qos,
             client_local,
         } => {
-            let _ = shard.server.start_session(
+            let _ = exec_start(
+                server,
                 name.clone(),
                 graph.clone(),
                 qos.clone(),
-                DeviceId::from_index(*client_local),
+                *client_local,
             );
         }
         ServerCall::Park {
@@ -347,34 +418,26 @@ fn apply_call(shard: &mut Shard, call: &ServerCall, grace_ms: f64) {
             client_local,
             err,
         } => {
-            let _ = shard.server.park_arrival(
+            exec_park(
+                server,
                 name.clone(),
                 graph.clone(),
                 qos.clone(),
-                DeviceId::from_index(*client_local),
-                None,
+                *client_local,
                 err.clone(),
             );
         }
         ServerCall::Stop { sid } => {
-            let _ = shard.server.stop_session(SessionId::from_raw(*sid));
+            exec_stop(server, *sid);
         }
         ServerCall::Move { sid, to_local } => {
-            let _ = shard.server.move_user(
-                SessionId::from_raw(*sid),
-                None,
-                DeviceId::from_index(*to_local),
-            );
+            let _ = exec_relocate(server, *sid, *to_local, true);
         }
         ServerCall::Switch { sid, to_local } => {
-            let _ = shard
-                .server
-                .switch_device(SessionId::from_raw(*sid), DeviceId::from_index(*to_local));
+            let _ = exec_relocate(server, *sid, *to_local, false);
         }
         ServerCall::Heartbeat { device, removed } => {
-            let rec = shard
-                .server
-                .heartbeat(DeviceId::from_index(*device), grace_ms);
+            let rec = exec_heartbeat(server, *device, grace_ms);
             debug_assert!(
                 rec.is_some() || removed.is_empty(),
                 "a replayed heartbeat diverged from the recorded reinstatement"
@@ -384,7 +447,7 @@ fn apply_call(shard: &mut Shard, call: &ServerCall, grace_ms: f64) {
             }
         }
         ServerCall::ExpireLeases { removed } => {
-            let recs = shard.server.expire_overdue_leases();
+            let recs = server.expire_overdue_leases();
             assert_eq!(
                 recs.len(),
                 removed.len(),
@@ -397,7 +460,7 @@ fn apply_call(shard: &mut Shard, call: &ServerCall, grace_ms: f64) {
             }
         }
         ServerCall::Retries { removed } => {
-            let _ = shard.server.process_retries();
+            server.process_retries();
             for &raw in removed {
                 untrack_raw(shard, raw);
             }
@@ -540,8 +603,28 @@ mod tests {
             },
             &shard,
         );
-        wal.push(WalRecord::Advance { at_h: 1.0 });
+        wal.push(|| unreachable!("a disabled WAL never builds a record"));
         assert!(wal.tail.is_empty() && wal.appended == 0 && !wal.due_checkpoint());
+    }
+
+    const GRACE_MS: f64 = 180_000.0;
+
+    /// Journals a non-call record and applies it live.
+    fn bookkeep(shard: &mut Shard, wal: &mut ShardWal, rec: WalRecord) {
+        apply_record(shard, &rec, GRACE_MS);
+        wal.push(|| rec);
+    }
+
+    /// Untracks a live recovery pass's dropped sessions, as the
+    /// engine's absorb does, returning the ids its call record carries.
+    fn untrack_dropped(shard: &mut Shard, rec: &RecoveryReport) -> Vec<u64> {
+        rec.dropped
+            .iter()
+            .map(|id| {
+                untrack_raw(shard, id.raw());
+                id.raw()
+            })
+            .collect()
     }
 
     #[test]
@@ -549,42 +632,130 @@ mod tests {
         let mut shard = tiny_shard();
         let mut wal = ShardWal::new(&DurabilityConfig::default(), &shard);
 
-        // Live side: advance, admit, log, track — journaling each
-        // mutation exactly as the engine does.
-        let recs = vec![
-            WalRecord::Advance { at_h: 0.25 },
-            start_call(0),
-            WalRecord::Line {
-                at_h: 0.25,
-                line: "arrive  req0 -> admitted as s0".to_owned(),
+        // Live side: every `ServerCall` kind, made through the same
+        // `exec_*` code the engine's journaled helpers use and journaled
+        // exactly as they journal it.
+        bookkeep(&mut shard, &mut wal, WalRecord::Advance { at_h: 0.25 });
+        let (name, graph) = crate::faults::app_template(0);
+        let name = format!("{name}-0");
+        wal.push(|| {
+            WalRecord::Call(ServerCall::Start {
+                name: name.clone(),
+                graph: graph.clone(),
+                qos: QosVector::new(),
+                client_local: 0,
+            })
+        });
+        let s0 = exec_start(&mut shard.server, name, graph, QosVector::new(), 0).expect("admits");
+        bookkeep(
+            &mut shard,
+            &mut wal,
+            WalRecord::Track {
+                req: 0,
+                sid: s0.raw(),
             },
-            WalRecord::Track { req: 0, sid: 0 },
-            WalRecord::Advance { at_h: 0.5 },
-            WalRecord::Call(ServerCall::Stop { sid: 0 }),
-            WalRecord::Untrack { req: 0, sid: 0 },
+        );
+
+        let (name, graph) = crate::faults::app_template(1);
+        let err = ConfigureError::StaleView { device: 1 };
+        wal.push(|| {
+            WalRecord::Call(ServerCall::Park {
+                name: name.to_owned(),
+                graph: graph.clone(),
+                qos: QosVector::new(),
+                client_local: 1,
+                err: err.clone(),
+            })
+        });
+        let s1 = exec_park(
+            &mut shard.server,
+            name.to_owned(),
+            graph,
+            QosVector::new(),
+            1,
+            err,
+        );
+        bookkeep(
+            &mut shard,
+            &mut wal,
+            WalRecord::Track {
+                req: 1,
+                sid: s1.raw(),
+            },
+        );
+
+        for (to_local, is_move) in [(1, false), (2, true)] {
+            let sid = s0.raw();
+            wal.push(|| {
+                WalRecord::Call(if is_move {
+                    ServerCall::Move { sid, to_local }
+                } else {
+                    ServerCall::Switch { sid, to_local }
+                })
+            });
+            let _ = exec_relocate(&mut shard.server, sid, to_local, is_move);
+        }
+
+        // A heartbeat grants dev2 a lease; letting it lapse makes the
+        // sweep suspect dev2, and its next heartbeat reinstates it.
+        assert!(exec_heartbeat(&mut shard.server, 2, GRACE_MS).is_none());
+        wal.push(|| {
+            WalRecord::Call(ServerCall::Heartbeat {
+                device: 2,
+                removed: Vec::new(),
+            })
+        });
+        bookkeep(&mut shard, &mut wal, WalRecord::Advance { at_h: 0.5 });
+        let passes = shard.server.expire_overdue_leases();
+        assert_eq!(passes.len(), 1, "dev2's lapsed lease is swept");
+        let removed = passes
+            .iter()
+            .map(|(_, rec)| untrack_dropped(&mut shard, rec))
+            .collect();
+        wal.push(|| WalRecord::Call(ServerCall::ExpireLeases { removed }));
+        let rec = exec_heartbeat(&mut shard.server, 2, GRACE_MS).expect("reinstates dev2");
+        let removed = untrack_dropped(&mut shard, &rec);
+        wal.push(|| WalRecord::Call(ServerCall::Heartbeat { device: 2, removed }));
+        let rec = shard.server.process_retries();
+        let removed = untrack_dropped(&mut shard, &rec);
+        wal.push(|| WalRecord::Call(ServerCall::Retries { removed }));
+
+        for (req, sid) in [(0, s0.raw()), (1, s1.raw())] {
+            wal.push(|| WalRecord::Call(ServerCall::Stop { sid }));
+            assert!(
+                exec_stop(&mut shard.server, sid).is_some(),
+                "held session stops"
+            );
+            bookkeep(&mut shard, &mut wal, WalRecord::Untrack { req, sid });
+        }
+        bookkeep(
+            &mut shard,
+            &mut wal,
             WalRecord::Line {
                 at_h: 0.5,
                 line: "depart  req0 -> completed".to_owned(),
             },
+        );
+        bookkeep(
+            &mut shard,
+            &mut wal,
             WalRecord::Mark {
                 report: Box::new(FaultReport {
                     events: 2,
-                    arrivals: 1,
-                    admitted: 1,
-                    completed: 1,
+                    arrivals: 2,
+                    admitted: 2,
+                    completed: 2,
                     ..FaultReport::default()
                 }),
                 iterations: 2,
-                last_sweep_h: None,
+                last_sweep_h: Some(0.5),
             },
-        ];
-        for rec in recs {
-            wal.push(rec.clone());
-            apply_record(&mut shard, &rec, 180_000.0);
-        }
-        let rebuilt = wal.recover(180_000.0);
+        );
+
+        let appended = wal.appended;
+        let rebuilt = wal.recover(GRACE_MS);
         assert_recovered_equal(&shard, &rebuilt, 0);
-        assert_eq!(wal.replayed, 9);
+        assert_eq!(wal.replayed, appended);
         assert_eq!(wal.restores, 1);
     }
 
@@ -593,11 +764,11 @@ mod tests {
         let shard = tiny_shard();
         let mut wal = ShardWal::new(&DurabilityConfig::default(), &shard);
         for i in 0..6 {
-            wal.push(WalRecord::Advance {
+            wal.push(|| WalRecord::Advance {
                 at_h: 0.1 * (i + 1) as f64,
             });
-            wal.push(start_call(i));
-            wal.push(WalRecord::Track {
+            wal.push(|| start_call(i));
+            wal.push(|| WalRecord::Track {
                 req: i,
                 sid: i as u64,
             });

@@ -79,9 +79,11 @@
 //! exact log bytes — of the perfect run, while the zero-loss path
 //! stays byte-identical to the bare [`ChannelTransport`].
 
+use crate::checkpoint::HandoffPlan;
 use crate::domain_server::{DomainServer, SessionId};
 use crate::durability::{
-    assert_recovered_equal, DurabilityConfig, ServerCall, ShardWal, WalRecord,
+    assert_recovered_equal, exec_heartbeat, exec_park, exec_relocate, exec_start, exec_stop,
+    DurabilityConfig, ServerCall, ShardWal, WalRecord,
 };
 use crate::faults::{
     app_template, apply_fault, build_space, campaign_schedule, check_invariants, count_pass,
@@ -984,11 +986,8 @@ impl<'a> Engine<'a> {
     /// counter report plus the epilogue cursors, so replay lands
     /// exactly on the current aggregate state.
     fn wal_mark(&mut self, s: usize) {
-        if !self.cfg.durability.enabled {
-            return;
-        }
         let shard = &self.shards[s];
-        self.wals[s].push(WalRecord::Mark {
+        self.wals[s].push(|| WalRecord::Mark {
             report: Box::new(shard.report.clone()),
             iterations: shard.iterations,
             last_sweep_h: shard.last_sweep_h,
@@ -1007,7 +1006,7 @@ impl<'a> Engine<'a> {
     /// Advances shard `s`'s virtual clock to `at_h` (monotone, exactly
     /// the serial `play` step). Journaled before the clock moves.
     fn advance(&mut self, s: usize, at_h: f64) {
-        self.wals[s].push(WalRecord::Advance { at_h });
+        self.wals[s].push(|| WalRecord::Advance { at_h });
         let shard = &mut self.shards[s];
         let delta_h = (at_h - shard.last_h).max(0.0);
         shard.server.play(delta_h * 3600.0);
@@ -1017,16 +1016,244 @@ impl<'a> Engine<'a> {
     /// Appends one line to shard `s`'s log. Journaled before the push
     /// (the line index is implicit in record order).
     fn slog(&mut self, s: usize, at_h: f64, line: &str) {
-        if self.cfg.durability.enabled {
-            self.wals[s].push(WalRecord::Line {
-                at_h,
-                line: line.to_owned(),
-            });
-        }
+        self.wals[s].push(|| WalRecord::Line {
+            at_h,
+            line: line.to_owned(),
+        });
         let shard = &mut self.shards[s];
         let idx = shard.idx;
         shard.log.push(idx, at_h, line);
         shard.idx += 1;
+    }
+
+    /// Journaled `start_session` on shard `s`. This helper and the
+    /// `call_*` siblings below are the only way an engine handler
+    /// mutates a shard's server: each journals its [`ServerCall`] (the
+    /// WAL alone decides whether the record is built) and makes the
+    /// call through the per-kind `exec_*` code replay uses.
+    fn call_start(
+        &mut self,
+        s: usize,
+        name: String,
+        graph: AbstractServiceGraph,
+        qos: QosVector,
+        client_local: usize,
+    ) -> Result<SessionId, ConfigureError> {
+        self.wals[s].push(|| {
+            WalRecord::Call(ServerCall::Start {
+                name: name.clone(),
+                graph: graph.clone(),
+                qos: qos.clone(),
+                client_local,
+            })
+        });
+        exec_start(&mut self.shards[s].server, name, graph, qos, client_local)
+    }
+
+    /// Journaled `park_arrival` on shard `s`.
+    fn call_park(
+        &mut self,
+        s: usize,
+        name: String,
+        graph: AbstractServiceGraph,
+        qos: QosVector,
+        client_local: usize,
+        err: ConfigureError,
+    ) -> SessionId {
+        self.wals[s].push(|| {
+            WalRecord::Call(ServerCall::Park {
+                name: name.clone(),
+                graph: graph.clone(),
+                qos: qos.clone(),
+                client_local,
+                err: err.clone(),
+            })
+        });
+        exec_park(
+            &mut self.shards[s].server,
+            name,
+            graph,
+            qos,
+            client_local,
+            err,
+        )
+    }
+
+    /// Journaled `stop_session` on shard `s` of a session the engine
+    /// holds there (live or parked): a departure, refund, or release.
+    fn call_stop(&mut self, s: usize, sid: SessionId) {
+        self.wals[s].push(|| WalRecord::Call(ServerCall::Stop { sid: sid.raw() }));
+        let stopped = exec_stop(&mut self.shards[s].server, sid.raw());
+        debug_assert!(stopped.is_some(), "a journaled stop targets a held session");
+    }
+
+    /// Journaled `move_user` (`is_move`) or `switch_device` on shard `s`.
+    fn call_relocate(
+        &mut self,
+        s: usize,
+        sid: SessionId,
+        to_local: usize,
+        is_move: bool,
+    ) -> Result<HandoffPlan, ConfigureError> {
+        self.wals[s].push(|| {
+            let sid = sid.raw();
+            WalRecord::Call(if is_move {
+                ServerCall::Move { sid, to_local }
+            } else {
+                ServerCall::Switch { sid, to_local }
+            })
+        });
+        exec_relocate(&mut self.shards[s].server, sid.raw(), to_local, is_move)
+    }
+
+    /// Journaled `heartbeat` from shard-local device `d`, recorded even
+    /// when it reinstates nothing: the call renews the device lease
+    /// inside the server, and replay must renew it too or a later sweep
+    /// would diverge. The record follows the call because it carries
+    /// the session ids absorbing the reinstatement pass untracked; that
+    /// pass and its rendered tail are returned.
+    fn call_heartbeat(&mut self, s: usize, d: usize) -> Option<(RecoveryReport, String)> {
+        let rec = exec_heartbeat(&mut self.shards[s].server, d, self.grace_ms);
+        let mut removed = Vec::new();
+        let reinstated = rec.map(|rec| {
+            let (tail, ids) = self.absorb(s, &rec);
+            removed = ids;
+            (rec, tail)
+        });
+        self.wals[s].push(|| WalRecord::Call(ServerCall::Heartbeat { device: d, removed }));
+        reinstated
+    }
+
+    /// Journaled anti-entropy sweep on shard `s`: every suspicion pass
+    /// is absorbed, then one record covers the sweep — even an empty
+    /// one, since the sweep advances detector bookkeeping inside the
+    /// server. Returns each pass with its rendered tail, in sweep
+    /// order.
+    fn call_expire_leases(&mut self, s: usize) -> Vec<(DeviceId, RecoveryReport, String)> {
+        let mut removed = Vec::new();
+        let passes = self.shards[s]
+            .server
+            .expire_overdue_leases()
+            .into_iter()
+            .map(|(device, rec)| {
+                let (tail, ids) = self.absorb(s, &rec);
+                removed.push(ids);
+                (device, rec, tail)
+            })
+            .collect();
+        self.wals[s].push(|| WalRecord::Call(ServerCall::ExpireLeases { removed }));
+        passes
+    }
+
+    /// Journaled retry drain on shard `s` — journaled even when it
+    /// moved nothing, since retry backoff bookkeeping inside the server
+    /// advances on every call. Returns the rendered tail when sessions
+    /// moved.
+    fn call_retries(&mut self, s: usize) -> Option<String> {
+        let retries = self.shards[s].server.process_retries();
+        let mut removed = Vec::new();
+        let tail = (!retries.is_empty()).then(|| {
+            let (tail, ids) = self.absorb(s, &retries);
+            removed = ids;
+            tail
+        });
+        self.wals[s].push(|| WalRecord::Call(ServerCall::Retries { removed }));
+        tail
+    }
+
+    /// One journaled admission attempt for request `req` on shard `s`:
+    /// `start_session`, falling back to `park_arrival` when the start
+    /// fails on a stale view — or on any error under `park_any`. The
+    /// resulting session is tracked for `req` and the directory points
+    /// at it; a refusal touches nothing. `session` builds the (name,
+    /// graph, QoS) each call takes. Returns the session id and whether
+    /// it was parked; counters and transcript lines stay with the
+    /// caller.
+    fn admit(
+        &mut self,
+        s: usize,
+        req: usize,
+        client_local: usize,
+        park_any: bool,
+        session: impl Fn() -> (String, AbstractServiceGraph, QosVector),
+    ) -> Result<(SessionId, bool), ConfigureError> {
+        let (name, graph, qos) = session();
+        let (id, parked) = match self.call_start(s, name, graph, qos, client_local) {
+            Ok(id) => (id, false),
+            Err(e) if park_any || matches!(e, ConfigureError::StaleView { .. }) => {
+                let (name, graph, qos) = session();
+                (self.call_park(s, name, graph, qos, client_local, e), true)
+            }
+            Err(e) => return Err(e),
+        };
+        let shard = &mut self.shards[s];
+        shard.active.insert(req, id);
+        shard.by_session.insert(id, req);
+        self.wals[s].push(|| WalRecord::Track { req, sid: id.raw() });
+        self.directory.insert(req, Loc::At { shard: s, id });
+        Ok((id, parked))
+    }
+
+    /// Admits arrival `i` of template `graph_index` on shard `s` for
+    /// global client device `client` (shard-local `client_local`),
+    /// counting and logging an admission or a stale-view park. `via`
+    /// tags a forwarded arrival's transcript lines. A refusal is
+    /// returned untouched.
+    #[allow(clippy::too_many_arguments)]
+    fn admit_arrival(
+        &mut self,
+        s: usize,
+        i: usize,
+        graph_index: usize,
+        client_local: usize,
+        client: usize,
+        via: &str,
+        at_h: f64,
+    ) -> Result<(), ConfigureError> {
+        let (name, graph) = app_template(graph_index);
+        let (id, parked) = self.admit(s, i, client_local, false, || {
+            (format!("{name}-{i}"), graph.clone(), QosVector::new())
+        })?;
+        let report = &mut self.shards[s].report;
+        report.arrivals += 1;
+        report.admitted += 1;
+        let fate = if parked {
+            report.parked += 1;
+            "parked on stale view"
+        } else {
+            "admitted"
+        };
+        self.slog(
+            s,
+            at_h,
+            &format!("arrive  req{i} {name} client=dev{client}{via} -> {fate} as {id}"),
+        );
+        Ok(())
+    }
+
+    /// Denies arrival `i` of template `graph_index` on shard `s`,
+    /// witnessed by `err`.
+    #[allow(clippy::too_many_arguments)]
+    fn deny_arrival(
+        &mut self,
+        s: usize,
+        i: usize,
+        graph_index: usize,
+        client: usize,
+        via: &str,
+        at_h: f64,
+        err: &dyn std::fmt::Display,
+    ) {
+        let report = &mut self.shards[s].report;
+        report.arrivals += 1;
+        report.denied += 1;
+        self.directory.insert(i, Loc::Gone { shard: s });
+        let (name, _) = app_template(graph_index);
+        self.slog(
+            s,
+            at_h,
+            &format!("arrive  req{i} {name} client=dev{client}{via} -> denied ({err})"),
+        );
     }
 
     /// Whether shard `s` is reachable (no partition window covers `t`).
@@ -1466,100 +1693,21 @@ impl<'a> Engine<'a> {
         self.advance(a, at_h);
         touched.insert(a);
         self.shards[a].report.events += 1;
-        let (name, graph) = app_template(req.graph_index);
-        if self.cfg.durability.enabled {
-            self.wals[a].push(WalRecord::Call(ServerCall::Start {
-                name: format!("{name}-{i}"),
-                graph: graph.clone(),
-                qos: QosVector::new(),
-                client_local,
-            }));
-        }
-        let outcome = self.shards[a].server.start_session(
-            format!("{name}-{i}"),
-            graph,
-            QosVector::new(),
-            DeviceId::from_index(client_local),
-        );
-        match outcome {
-            Ok(id) => {
-                let shard = &mut self.shards[a];
-                shard.report.arrivals += 1;
-                shard.report.admitted += 1;
-                shard.active.insert(i, id);
-                shard.by_session.insert(id, i);
-                self.wals[a].push(WalRecord::Track {
-                    req: i,
-                    sid: id.raw(),
-                });
-                self.directory.insert(i, Loc::At { shard: a, id });
-                self.slog(
-                    a,
-                    at_h,
-                    &format!("arrive  req{i} {name} client=dev{client} -> admitted as {id}"),
-                );
-            }
-            Err(e) if matches!(e, ConfigureError::StaleView { .. }) => {
-                let (_, graph) = app_template(req.graph_index);
-                if self.cfg.durability.enabled {
-                    self.wals[a].push(WalRecord::Call(ServerCall::Park {
-                        name: format!("{name}-{i}"),
-                        graph: graph.clone(),
-                        qos: QosVector::new(),
-                        client_local,
-                        err: e.clone(),
-                    }));
-                }
-                let shard = &mut self.shards[a];
-                shard.report.arrivals += 1;
-                shard.report.admitted += 1;
-                shard.report.parked += 1;
-                let id = shard.server.park_arrival(
-                    format!("{name}-{i}"),
-                    graph,
-                    QosVector::new(),
-                    DeviceId::from_index(client_local),
-                    None,
-                    e,
-                );
-                shard.active.insert(i, id);
-                shard.by_session.insert(id, i);
-                self.wals[a].push(WalRecord::Track {
-                    req: i,
-                    sid: id.raw(),
-                });
-                self.directory.insert(i, Loc::At { shard: a, id });
-                self.slog(
-                    a,
-                    at_h,
-                    &format!(
-                        "arrive  req{i} {name} client=dev{client} -> parked on stale view as {id}"
-                    ),
-                );
-            }
-            Err(e) => {
-                // Cross-domain resolution: only for composition
-                // failures on a specialized, reachable shard. The
-                // probe chain runs as asynchronous message round
-                // trips; every leg connects two mutually-reachable
-                // shards, so the whole chain resolves inside this
-                // arrival's turn and the deny below is the only
-                // synchronous fallback (nothing probe-able at all).
-                let forwardable = self.specialized
-                    && matches!(e, ConfigureError::Composition(_))
-                    && self.reachable_shard(a, at_h);
-                if !forwardable || !self.start_discovery(a, i, req.graph_index, client, at_h, &e) {
-                    let shard = &mut self.shards[a];
-                    shard.report.arrivals += 1;
-                    shard.report.denied += 1;
-                    self.directory.insert(i, Loc::Gone { shard: a });
-                    self.slog(
-                        a,
-                        at_h,
-                        &format!("arrive  req{i} {name} client=dev{client} -> denied ({e})"),
-                    );
-                }
-            }
+        let Err(e) = self.admit_arrival(a, i, req.graph_index, client_local, client, "", at_h)
+        else {
+            return;
+        };
+        // Cross-domain resolution: only for composition failures on a
+        // specialized, reachable shard. The probe chain runs as
+        // asynchronous message round trips; every leg connects two
+        // mutually-reachable shards, so the whole chain resolves inside
+        // this arrival's turn and the deny below is the only synchronous
+        // fallback (nothing probe-able at all).
+        let forwardable = self.specialized
+            && matches!(e, ConfigureError::Composition(_))
+            && self.reachable_shard(a, at_h);
+        if !forwardable || !self.start_discovery(a, i, req.graph_index, client, at_h, &e) {
+            self.deny_arrival(a, i, req.graph_index, client, "", at_h, &e);
         }
     }
 
@@ -1679,16 +1827,7 @@ impl<'a> Engine<'a> {
             );
             self.admit_forwarded(req, st.graph_index, a, b, at_h, touched);
         } else if let Some(st) = self.probe_next(req, st, at_h) {
-            let err = st.err;
-            let shard = &mut self.shards[a];
-            shard.report.arrivals += 1;
-            shard.report.denied += 1;
-            self.directory.insert(req, Loc::Gone { shard: a });
-            self.slog(
-                a,
-                at_h,
-                &format!("arrive  req{req} {name} client=dev{client} -> denied ({err})"),
-            );
+            self.deny_arrival(a, req, st.graph_index, client, "", at_h, &st.err);
         }
     }
 
@@ -1713,92 +1852,9 @@ impl<'a> Engine<'a> {
         let client_local =
             b_up[(splitmix64(self.cfg.base.seed ^ i as u64) % b_up.len() as u64) as usize];
         let client = self.offsets[b] + client_local;
-        let (name, graph) = app_template(graph_index);
-        if self.cfg.durability.enabled {
-            self.wals[b].push(WalRecord::Call(ServerCall::Start {
-                name: format!("{name}-{i}"),
-                graph: graph.clone(),
-                qos: QosVector::new(),
-                client_local,
-            }));
-        }
-        let outcome = self.shards[b].server.start_session(
-            format!("{name}-{i}"),
-            graph,
-            QosVector::new(),
-            DeviceId::from_index(client_local),
-        );
-        match outcome {
-            Ok(id) => {
-                let shard = &mut self.shards[b];
-                shard.report.arrivals += 1;
-                shard.report.admitted += 1;
-                shard.active.insert(i, id);
-                shard.by_session.insert(id, i);
-                self.wals[b].push(WalRecord::Track {
-                    req: i,
-                    sid: id.raw(),
-                });
-                self.directory.insert(i, Loc::At { shard: b, id });
-                self.slog(
-                    b,
-                    at_h,
-                    &format!(
-                        "arrive  req{i} {name} client=dev{client} via shard{a} -> admitted as {id}"
-                    ),
-                );
-            }
-            Err(e) if matches!(e, ConfigureError::StaleView { .. }) => {
-                let (_, graph) = app_template(graph_index);
-                if self.cfg.durability.enabled {
-                    self.wals[b].push(WalRecord::Call(ServerCall::Park {
-                        name: format!("{name}-{i}"),
-                        graph: graph.clone(),
-                        qos: QosVector::new(),
-                        client_local,
-                        err: e.clone(),
-                    }));
-                }
-                let shard = &mut self.shards[b];
-                shard.report.arrivals += 1;
-                shard.report.admitted += 1;
-                shard.report.parked += 1;
-                let id = shard.server.park_arrival(
-                    format!("{name}-{i}"),
-                    graph,
-                    QosVector::new(),
-                    DeviceId::from_index(client_local),
-                    None,
-                    e,
-                );
-                shard.active.insert(i, id);
-                shard.by_session.insert(id, i);
-                self.wals[b].push(WalRecord::Track {
-                    req: i,
-                    sid: id.raw(),
-                });
-                self.directory.insert(i, Loc::At { shard: b, id });
-                self.slog(
-                    b,
-                    at_h,
-                    &format!(
-                        "arrive  req{i} {name} client=dev{client} via shard{a} -> parked on stale view as {id}"
-                    ),
-                );
-            }
-            Err(e) => {
-                let shard = &mut self.shards[b];
-                shard.report.arrivals += 1;
-                shard.report.denied += 1;
-                self.directory.insert(i, Loc::Gone { shard: b });
-                self.slog(
-                    b,
-                    at_h,
-                    &format!(
-                        "arrive  req{i} {name} client=dev{client} via shard{a} -> denied ({e})"
-                    ),
-                );
-            }
+        let via = format!(" via shard{a}");
+        if let Err(e) = self.admit_arrival(b, i, graph_index, client_local, client, &via, at_h) {
+            self.deny_arrival(b, i, graph_index, client, &via, at_h, &e);
         }
     }
 
@@ -1836,14 +1892,12 @@ impl<'a> Engine<'a> {
         match shard.active.remove(&i) {
             Some(id) => {
                 shard.by_session.remove(&id);
-                let stopped = shard.server.stop_session(id);
-                debug_assert!(stopped.is_some(), "active map tracks live sessions");
                 shard.report.completed += 1;
-                self.wals[s].push(WalRecord::Untrack {
+                self.wals[s].push(|| WalRecord::Untrack {
                     req: i,
                     sid: id.raw(),
                 });
-                self.wals[s].push(WalRecord::Call(ServerCall::Stop { sid: id.raw() }));
+                self.call_stop(s, id);
                 self.directory.insert(i, Loc::Gone { shard: s });
                 self.slog(s, at_h, &format!("depart  req{i} -> completed ({id})"));
             }
@@ -2022,7 +2076,7 @@ impl<'a> Engine<'a> {
     ) {
         self.advance(s, at_h);
         touched.insert(s);
-        self.wals[s].push(WalRecord::Fault(fault));
+        self.wals[s].push(|| WalRecord::Fault(fault));
         let shard = &mut self.shards[s];
         shard.report.events += 1;
         let line = apply_fault(
@@ -2098,35 +2152,13 @@ impl<'a> Engine<'a> {
             // Serial arm verbatim (global `to` == local index + shard
             // offset; identical text at one shard).
             let local_to = to - self.offsets[a];
-            if self.cfg.durability.enabled {
-                let call = if is_move {
-                    ServerCall::Move {
-                        sid: id.raw(),
-                        to_local: local_to,
-                    }
-                } else {
-                    ServerCall::Switch {
-                        sid: id.raw(),
-                        to_local: local_to,
-                    }
-                };
-                self.wals[a].push(WalRecord::Call(call));
-            }
-            let shard = &mut self.shards[a];
+            let result = self.call_relocate(a, id, local_to, is_move);
+            let report = &mut self.shards[a].report;
             if is_move {
-                shard.report.moves += 1;
+                report.moves += 1;
             } else {
-                shard.report.switches += 1;
+                report.switches += 1;
             }
-            let result = if is_move {
-                shard
-                    .server
-                    .move_user(id, None, DeviceId::from_index(local_to))
-            } else {
-                shard
-                    .server
-                    .switch_device(id, DeviceId::from_index(local_to))
-            };
             let line = match result {
                 Ok(plan) => format!(
                     "fault   {label} {id} -> dev{to} (resume at {:.4}s)",
@@ -2134,9 +2166,9 @@ impl<'a> Engine<'a> {
                 ),
                 Err(e) => {
                     if is_move {
-                        shard.report.move_failures += 1;
+                        report.move_failures += 1;
                     } else {
-                        shard.report.switch_failures += 1;
+                        report.switch_failures += 1;
                     }
                     format!("fault   {label} {id} -> dev{to} failed ({e}), old config kept")
                 }
@@ -2189,22 +2221,9 @@ impl<'a> Engine<'a> {
             // retry queue, witnessed by the stale view of dev`to`.
             self.stats.handoffs_parked_dest_suspected += 1;
             let witness = ConfigureError::StaleView { device: to_global };
-            if self.cfg.durability.enabled {
-                self.wals[a].push(WalRecord::Call(ServerCall::Stop { sid: id.raw() }));
-                self.wals[a].push(WalRecord::Call(ServerCall::Park {
-                    name: name.clone(),
-                    graph: graph.clone(),
-                    qos: qos.clone(),
-                    client_local: old_client.index(),
-                    err: witness.clone(),
-                }));
-            }
+            self.call_stop(a, id);
+            let pid = self.call_park(a, name, graph, qos, old_client.index(), witness);
             let shard = &mut self.shards[a];
-            let stopped = shard.server.stop_session(id);
-            debug_assert!(stopped.is_some(), "picked session was live");
-            let pid = shard
-                .server
-                .park_arrival(name, graph, qos, old_client, None, witness);
             shard.report.parked += 1;
             if is_move {
                 shard.report.move_failures += 1;
@@ -2214,8 +2233,8 @@ impl<'a> Engine<'a> {
             shard.by_session.remove(&id);
             shard.active.insert(req, pid);
             shard.by_session.insert(pid, req);
-            self.wals[a].push(WalRecord::Untrack { req, sid: id.raw() });
-            self.wals[a].push(WalRecord::Track {
+            self.wals[a].push(|| WalRecord::Untrack { req, sid: id.raw() });
+            self.wals[a].push(|| WalRecord::Track {
                 req,
                 sid: pid.raw(),
             });
@@ -2306,16 +2325,12 @@ impl<'a> Engine<'a> {
                 } else {
                     // Commit: release on the source (exact refund),
                     // custody transfers in flight.
-                    if self.cfg.durability.enabled {
-                        self.wals[a].push(WalRecord::Call(ServerCall::Stop { sid: sid.raw() }));
-                        self.wals[a].push(WalRecord::Untrack {
-                            req,
-                            sid: sid.raw(),
-                        });
-                    }
+                    self.call_stop(a, sid);
+                    self.wals[a].push(|| WalRecord::Untrack {
+                        req,
+                        sid: sid.raw(),
+                    });
                     let shard = &mut self.shards[a];
-                    let stopped = shard.server.stop_session(sid);
-                    debug_assert!(stopped.is_some(), "decide saw a live session");
                     shard.active.remove(&req);
                     shard.by_session.remove(&sid);
                     self.handoffs.get_mut(&hid).expect("tracked").state = HandoffState::Committed;
@@ -2381,11 +2396,7 @@ impl<'a> Engine<'a> {
                 self.advance(b, at_h);
                 touched.insert(b);
                 let rid = SessionId::from_raw(raw);
-                if self.cfg.durability.enabled {
-                    self.wals[b].push(WalRecord::Call(ServerCall::Stop { sid: raw }));
-                }
-                let released = self.shards[b].server.stop_session(rid);
-                debug_assert!(released.is_some(), "reservation index tracks holdings");
+                self.call_stop(b, rid);
                 self.res_index.remove(&(b, raw));
                 self.handoffs.get_mut(&hid).expect("tracked").reservation = Reservation::Expired;
                 self.stats.reservation_expiries += 1;
@@ -2411,35 +2422,20 @@ impl<'a> Engine<'a> {
         let d = g - self.offsets[s];
         self.advance(s, at_h);
         touched.insert(s);
-        let shard = &mut self.shards[s];
+        let shard = &self.shards[s];
         let lost = shard.down.contains(&d)
             || shard.det.partition_depth[d] > 0
             || at_h < shard.det.jam_until_h[d];
         if !lost {
-            // Journal the heartbeat even when it reinstates nothing: the
-            // call renews the device lease inside the server, and replay
-            // must renew it too or a later sweep would diverge.
-            if let Some(rec) = shard
-                .server
-                .heartbeat(DeviceId::from_index(d), self.grace_ms)
-            {
-                shard.report.reinstatements += 1;
-                count_pass(&rec, &mut shard.report);
-                let (tail, removed) = self.absorb(s, &rec);
-                self.wals[s].push(WalRecord::Call(ServerCall::Heartbeat {
-                    device: d,
-                    removed,
-                }));
+            if let Some((rec, tail)) = self.call_heartbeat(s, d) {
+                let report = &mut self.shards[s].report;
+                report.reinstatements += 1;
+                count_pass(&rec, report);
                 self.slog(
                     s,
                     at_h,
                     &format!("detect  reinstate dev{d} (lease renewed) -> {tail}"),
                 );
-            } else {
-                self.wals[s].push(WalRecord::Call(ServerCall::Heartbeat {
-                    device: d,
-                    removed: Vec::new(),
-                }));
             }
             self.queue.schedule(
                 at_h + self.cfg.base.detection_grace_h,
@@ -2462,8 +2458,7 @@ impl<'a> Engine<'a> {
             return;
         }
         self.shards[s].last_sweep_h = Some(at_h);
-        let mut removed_per_item: Vec<Vec<u64>> = Vec::new();
-        for (device, rec) in self.shards[s].server.expire_overdue_leases() {
+        for (device, rec, tail) in self.call_expire_leases(s) {
             let shard = &mut self.shards[s];
             shard.report.suspicions += 1;
             let ground_up = !shard.down.contains(&device.index());
@@ -2471,8 +2466,6 @@ impl<'a> Engine<'a> {
                 shard.report.false_suspected += 1;
             }
             count_pass(&rec, &mut shard.report);
-            let (tail, removed) = self.absorb(s, &rec);
-            removed_per_item.push(removed);
             let tag = if ground_up { " (falsely)" } else { "" };
             self.slog(
                 s,
@@ -2483,11 +2476,6 @@ impl<'a> Engine<'a> {
                 ),
             );
         }
-        // One record per sweep, even an empty one: the sweep advances
-        // detector bookkeeping inside the server.
-        self.wals[s].push(WalRecord::Call(ServerCall::ExpireLeases {
-            removed: removed_per_item,
-        }));
     }
 
     /// Processes one delivered message on its destination shard. The
@@ -2557,20 +2545,7 @@ impl<'a> Engine<'a> {
                     );
                     return;
                 }
-                if self.cfg.durability.enabled {
-                    self.wals[b].push(WalRecord::Call(ServerCall::Start {
-                        name: name.clone(),
-                        graph: graph.clone(),
-                        qos: qos.clone(),
-                        client_local,
-                    }));
-                }
-                match self.shards[b].server.start_session(
-                    name,
-                    graph,
-                    qos,
-                    DeviceId::from_index(client_local),
-                ) {
+                match self.call_start(b, name, graph, qos, client_local) {
                     Ok(rid) => {
                         self.handoffs.get_mut(&hid).expect("tracked").reservation =
                             Reservation::Live(rid.raw());
@@ -2667,9 +2642,7 @@ impl<'a> Engine<'a> {
                 match reservation {
                     Reservation::Live(raw) | Reservation::Parked(raw) => {
                         let rid = SessionId::from_raw(raw);
-                        self.wals[b].push(WalRecord::Call(ServerCall::Stop { sid: raw }));
-                        let released = self.shards[b].server.stop_session(rid);
-                        debug_assert!(released.is_some(), "reservation index tracks holdings");
+                        self.call_stop(b, rid);
                         self.res_index.remove(&(b, raw));
                         self.handoffs.get_mut(&hid).expect("tracked").reservation =
                             Reservation::Done;
@@ -2715,9 +2688,7 @@ impl<'a> Engine<'a> {
                 self.res_index.remove(&(b, raw));
                 self.handoffs.get_mut(&hid).expect("tracked").reservation = Reservation::Done;
                 if departed {
-                    self.wals[b].push(WalRecord::Call(ServerCall::Stop { sid: raw }));
-                    let stopped = self.shards[b].server.stop_session(rid);
-                    debug_assert!(stopped.is_some(), "reservation index tracks holdings");
+                    self.call_stop(b, rid);
                     self.shards[b].report.completed += 1;
                     self.directory.insert(req, Loc::Gone { shard: b });
                     self.slog(
@@ -2734,7 +2705,7 @@ impl<'a> Engine<'a> {
                     let shard = &mut self.shards[b];
                     shard.active.insert(req, rid);
                     shard.by_session.insert(rid, req);
-                    self.wals[b].push(WalRecord::Track { req, sid: raw });
+                    self.wals[b].push(|| WalRecord::Track { req, sid: raw });
                     self.directory.insert(req, Loc::At { shard: b, id: rid });
                     self.slog(
                         b,
@@ -2758,72 +2729,18 @@ impl<'a> Engine<'a> {
                         ),
                     );
                 } else {
-                    if self.cfg.durability.enabled {
-                        self.wals[b].push(WalRecord::Call(ServerCall::Start {
-                            name: name.clone(),
-                            graph: graph.clone(),
-                            qos: qos.clone(),
-                            client_local,
-                        }));
-                    }
-                    match self.shards[b].server.start_session(
-                        name,
-                        graph,
-                        qos,
-                        DeviceId::from_index(client_local),
-                    ) {
-                        Ok(rid) => {
-                            let shard = &mut self.shards[b];
-                            shard.active.insert(req, rid);
-                            shard.by_session.insert(rid, req);
-                            self.wals[b].push(WalRecord::Track {
-                                req,
-                                sid: rid.raw(),
-                            });
-                            self.directory.insert(req, Loc::At { shard: b, id: rid });
-                            self.slog(
-                                b,
-                                at_h,
-                                &format!(
-                                    "fedmsg  h{hid} commit -> lease expired, re-admitted as {rid}"
-                                ),
-                            );
-                        }
-                        Err(e) => {
-                            if self.cfg.durability.enabled {
-                                self.wals[b].push(WalRecord::Call(ServerCall::Park {
-                                    name: self.handoffs[&hid].name.clone(),
-                                    graph: self.handoffs[&hid].graph.clone(),
-                                    qos: self.handoffs[&hid].qos.clone(),
-                                    client_local,
-                                    err: e.clone(),
-                                }));
-                            }
-                            let shard = &mut self.shards[b];
-                            shard.report.parked += 1;
-                            let pid = shard.server.park_arrival(
-                                self.handoffs[&hid].name.clone(),
-                                self.handoffs[&hid].graph.clone(),
-                                self.handoffs[&hid].qos.clone(),
-                                DeviceId::from_index(client_local),
-                                None,
-                                e,
-                            );
-                            let shard = &mut self.shards[b];
-                            shard.active.insert(req, pid);
-                            shard.by_session.insert(pid, req);
-                            self.wals[b].push(WalRecord::Track {
-                                req,
-                                sid: pid.raw(),
-                            });
-                            self.directory.insert(req, Loc::At { shard: b, id: pid });
-                            self.slog(
-                                b,
-                                at_h,
-                                &format!("fedmsg  h{hid} commit -> lease expired, parked on arrival as {pid}"),
-                            );
-                        }
-                    }
+                    let (id, parked) = self
+                        .admit(b, req, client_local, true, || {
+                            (name.clone(), graph.clone(), qos.clone())
+                        })
+                        .expect("a late commit parks on any failure");
+                    let line = if parked {
+                        self.shards[b].report.parked += 1;
+                        format!("fedmsg  h{hid} commit -> lease expired, parked on arrival as {id}")
+                    } else {
+                        format!("fedmsg  h{hid} commit -> lease expired, re-admitted as {id}")
+                    };
+                    self.slog(b, at_h, &line);
                 }
             }
             Reservation::None | Reservation::Done => {
@@ -2868,16 +2785,7 @@ impl<'a> Engine<'a> {
     }
 
     fn finish_event_inner(&mut self, s: usize, at_h: f64) -> Result<(), InvariantViolation> {
-        let retries = self.shards[s].server.process_retries();
-        // Journal the drain even when it moved nothing: retry backoff
-        // bookkeeping inside the server advances on every call.
-        if retries.is_empty() {
-            self.wals[s].push(WalRecord::Call(ServerCall::Retries {
-                removed: Vec::new(),
-            }));
-        } else {
-            let (tail, removed) = self.absorb(s, &retries);
-            self.wals[s].push(WalRecord::Call(ServerCall::Retries { removed }));
+        if let Some(tail) = self.call_retries(s) {
             self.slog(s, at_h, &format!("retry   parked queue -> {tail}"));
         }
         let shard = &mut self.shards[s];
@@ -2923,7 +2831,9 @@ impl<'a> Engine<'a> {
     /// final anti-entropy sweep and convergence drain (imperfect mode),
     /// then report finalization. Also asserts the federation reached a
     /// quiescent state: no undelivered messages, every handoff
-    /// terminal, no reservation still indexed.
+    /// terminal, no reservation still indexed. This phase runs after
+    /// the last event — no crash can follow it — so it calls the shard
+    /// servers directly, unjournaled.
     fn finalize_shards(&mut self) -> Result<(), InvariantViolation> {
         assert!(
             self.pending.is_empty(),

@@ -10,8 +10,6 @@
 //! * [`DomainServer`] — the per-domain infrastructure service hosting the
 //!   two-tier configurator, driving sessions through start / device
 //!   switch / reconfiguration;
-//! * [`EventService`] — the pub/sub event channel domain services
-//!   coordinate through;
 //! * [`ComponentRepository`] — dynamic downloading of component code with
 //!   a size ÷ bandwidth cost model;
 //! * [`Profiler`] — the online resource-profiling service ([2, 13] in the
@@ -52,7 +50,6 @@ pub mod config_cache;
 pub mod cost_model;
 pub mod domain_server;
 pub mod durability;
-pub mod event_service;
 pub mod faults;
 pub mod federation;
 pub mod overhead;
@@ -71,7 +68,6 @@ pub use config_cache::{CompositionCache, CompositionCacheStats};
 pub use cost_model::{CostModel, LinkKind};
 pub use domain_server::{DomainServer, PlacementStrategy, PlacementTotals, Session, SessionId};
 pub use durability::DurabilityConfig;
-pub use event_service::{EventService, RuntimeEvent};
 pub use faults::{
     campaign_schedule, run_fault_campaign, run_fault_campaign_with, CampaignOutcome, EventLog,
     FaultCampaignConfig, InvariantViolation,
