@@ -14,8 +14,11 @@ use std::fmt;
 /// Schema version stamped into every `BENCH_*.json` artifact. Bump it
 /// whenever a field is added, renamed, or its meaning changes; the
 /// nightly drift gate refuses to compare artifacts across versions
-/// instead of silently misreading renamed fields.
-pub const BENCH_SCHEMA_VERSION: u32 = 7;
+/// instead of silently misreading renamed fields. Version 8: shard
+/// WALs carry no transcript records, so the federation crash cells'
+/// `wal_records`, `wal_replayed` and `replay_depth_*` counters are not
+/// comparable with version 7.
+pub const BENCH_SCHEMA_VERSION: u32 = 8;
 
 /// Aggregated outcome of one fault-injection campaign.
 ///

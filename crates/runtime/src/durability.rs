@@ -7,21 +7,28 @@
 //! Every state mutation a shard performs while handling federated
 //! events is journaled as a typed [`WalRecord`] *before* (or, for
 //! outcome-dependent bookkeeping, within the same atomic event as) the
-//! mutation itself: clock advances, transcript lines, session-table
-//! track/untrack edits, every [`DomainServer`] call (admissions, parks,
-//! refunds via `stop_session`, lease renewals, lease expiries, retry
-//! drains, moves/switches), and every injected device fault. Periodic
+//! mutation itself: clock advances, session-table track/untrack edits,
+//! every [`DomainServer`] call (admissions, parks, refunds via
+//! `stop_session`, lease renewals, lease expiries, retry drains,
+//! moves/switches), and every injected device fault. Periodic
 //! checkpoints capture a full [`ShardSnapshot`] and truncate the log
 //! tail, bounding both replay work and journal memory.
 //!
+//! The shard's transcript is not journaled and not checkpointed. It is
+//! engine-level output, like the session directory, the handoff ledger
+//! and the link state: it survives a shard crash untouched, and no
+//! replayed decision ever reads it, so checkpoint cost does not grow
+//! with history.
+//!
 //! On a scheduled `ShardCrash` the engine rebuilds the shard from
 //! `snapshot + tail` replay, asserts the rebuilt state equals the
-//! pre-crash state **field by field** (transcript bytes, report,
-//! session tables, detector state, clock, and the domain server's own
-//! [`state fingerprint`](DomainServer::state_fingerprint)), and swaps
-//! the rebuilt shard in — so a replay bug surfaces twice: once in the
-//! hard equality assert and once downstream as a per-shard digest
-//! divergence.
+//! pre-crash state **field by field** (report, ground truth, detector
+//! state, session tables, clock, epilogue cursors, and the domain
+//! server's own [`state fingerprint`](DomainServer::state_fingerprint)),
+//! and swaps the rebuilt shard in — so a replay bug surfaces twice:
+//! once in the hard equality assert and once downstream as a per-shard
+//! digest divergence, since every transcript line written after the
+//! crash is computed from the rebuilt state.
 //!
 //! ## Replay determinism
 //!
@@ -127,9 +134,6 @@ pub(crate) enum ServerCall {
 pub(crate) enum WalRecord {
     /// Monotone clock advance to `at_h` (the serial `play` step).
     Advance { at_h: f64 },
-    /// One transcript line appended at `at_h` (the line index is
-    /// implicit: replay numbers lines in record order).
-    Line { at_h: f64, line: String },
     /// Request `req` tracked as live session `sid` in the shard's
     /// `active`/`by_session` tables.
     Track { req: usize, sid: u64 },
@@ -166,14 +170,12 @@ impl ShardSnapshot {
             shard: Shard {
                 server: shard.server.clone_for_checkpoint(),
                 cfg: shard.cfg.clone(),
-                log: shard.log.clone(),
                 report: shard.report.clone(),
                 down: shard.down.clone(),
                 det: shard.det.clone(),
                 active: shard.active.clone(),
                 by_session: shard.by_session.clone(),
                 last_h: shard.last_h,
-                idx: shard.idx,
                 iterations: shard.iterations,
                 last_sweep_h: shard.last_sweep_h,
             },
@@ -284,11 +286,6 @@ fn apply_record(shard: &mut Shard, rec: &WalRecord, grace_ms: f64) {
             let delta_h = (at_h - shard.last_h).max(0.0);
             shard.server.play(delta_h * 3600.0);
             shard.last_h = *at_h;
-        }
-        WalRecord::Line { at_h, line } => {
-            let idx = shard.idx;
-            shard.log.push(idx, *at_h, line);
-            shard.idx += 1;
         }
         WalRecord::Track { req, sid } => {
             let sid = SessionId::from_raw(*sid);
@@ -469,25 +466,22 @@ fn apply_call(shard: &mut Shard, call: &ServerCall, grace_ms: f64) {
 }
 
 /// A deterministic digest of every durable field of a shard: the
-/// transcript (digest and length), the counter report, ground truth
-/// and detector state, session tables, the virtual clock (exact bits),
-/// and the domain server's own state fingerprint. Volatile profiling
-/// state is excluded by construction.
+/// counter report, ground truth and detector state, session tables,
+/// the virtual clock (exact bits), the epilogue cursors, and the
+/// domain server's own state fingerprint. Volatile profiling state is
+/// excluded by construction.
 pub(crate) fn shard_fingerprint(shard: &Shard) -> u64 {
     let mut s = String::new();
     use std::fmt::Write as _;
     let _ = write!(
         s,
-        "log={:016x}/{}|report={:?}|down={:?}|det={:?}|active={:?}|by={:?}|last_h={:016x}|idx={}|it={}|sweep={:?}|server={:016x}",
-        shard.log.digest(),
-        shard.log.lines().len(),
+        "report={:?}|down={:?}|det={:?}|active={:?}|by={:?}|last_h={:016x}|it={}|sweep={:?}|server={:016x}",
         shard.report,
         shard.down,
         shard.det,
         shard.active,
         shard.by_session,
         shard.last_h.to_bits(),
-        shard.idx,
         shard.iterations,
         shard.last_sweep_h.map(f64::to_bits),
         shard.server.state_fingerprint(),
@@ -498,11 +492,6 @@ pub(crate) fn shard_fingerprint(shard: &Shard) -> u64 {
 /// Asserts a rebuilt shard equals the live one it replaces,
 /// field by field (better diagnostics than one combined digest).
 pub(crate) fn assert_recovered_equal(live: &Shard, rebuilt: &Shard, s: usize) {
-    assert_eq!(
-        rebuilt.log.lines(),
-        live.log.lines(),
-        "shard{s} recovery replayed a different transcript"
-    );
     assert_eq!(
         rebuilt.report, live.report,
         "shard{s} recovery replayed different counters"
@@ -528,7 +517,6 @@ pub(crate) fn assert_recovered_equal(live: &Shard, rebuilt: &Shard, s: usize) {
         live.last_h.to_bits(),
         "shard{s} recovery drifted the virtual clock"
     );
-    assert_eq!(rebuilt.idx, live.idx, "shard{s} recovery miscounted lines");
     assert_eq!(
         (rebuilt.iterations, rebuilt.last_sweep_h.map(f64::to_bits)),
         (live.iterations, live.last_sweep_h.map(f64::to_bits)),
@@ -546,7 +534,6 @@ pub(crate) fn assert_recovered_equal(live: &Shard, rebuilt: &Shard, s: usize) {
 mod tests {
     use super::*;
     use crate::faults::{build_space, DetectorState, FaultCampaignConfig};
-    use crate::EventLog;
     use std::collections::{BTreeMap, BTreeSet};
 
     fn tiny_shard() -> Shard {
@@ -557,14 +544,12 @@ mod tests {
         Shard {
             server: build_space(3),
             cfg,
-            log: EventLog::default(),
             report: FaultReport::default(),
             down: BTreeSet::new(),
             det: DetectorState::new(3),
             active: BTreeMap::new(),
             by_session: BTreeMap::new(),
             last_h: 0.0,
-            idx: 0,
             iterations: 0,
             last_sweep_h: None,
         }
@@ -585,8 +570,6 @@ mod tests {
         let mut shard = tiny_shard();
         shard.server.play(10.0);
         shard.last_h = 10.0 / 3600.0;
-        shard.log.push(0, 0.0, "arrive  req0 -> admitted");
-        shard.idx = 1;
         let snap = ShardSnapshot::capture(&shard);
         let rebuilt = snap.restore();
         assert_recovered_equal(&shard, &rebuilt, 0);
@@ -728,14 +711,6 @@ mod tests {
             );
             bookkeep(&mut shard, &mut wal, WalRecord::Untrack { req, sid });
         }
-        bookkeep(
-            &mut shard,
-            &mut wal,
-            WalRecord::Line {
-                at_h: 0.5,
-                line: "depart  req0 -> completed".to_owned(),
-            },
-        );
         bookkeep(
             &mut shard,
             &mut wal,

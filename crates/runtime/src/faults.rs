@@ -206,25 +206,29 @@ impl Default for FaultCampaignConfig {
 ///
 /// Rendering is byte-stable: every line is formatted with fixed float
 /// precision at push time, so two campaigns agree iff their logs agree.
+/// The log is output, not state: nothing reads it back to decide what
+/// happens next, so a federated shard's transcript lives on the engine
+/// and survives a shard crash untouched (DESIGN §17).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EventLog {
     lines: Vec<String>,
 }
 
 impl EventLog {
-    pub(crate) fn push(&mut self, idx: usize, at_h: f64, text: &str) {
-        self.push_args(idx, at_h, format_args!("{text}"));
+    pub(crate) fn push(&mut self, at_h: f64, text: &str) {
+        self.push_args(at_h, format_args!("{text}"));
     }
 
     /// Formats one line straight into its final String — prefix and text
-    /// in a single pass, no intermediate allocation. This is the event
-    /// loop's hot path: at 10⁵ arrivals the naive
-    /// `format!("[{idx:04}] t={at_h:010.4}h {text}")` over a separately
-    /// formatted `text` costs more than the admission work it records.
-    pub(crate) fn push_args(&mut self, idx: usize, at_h: f64, args: fmt::Arguments<'_>) {
+    /// in a single pass, no intermediate allocation. Lines number
+    /// themselves in push order. This is the event loop's hot path: at
+    /// 10⁵ arrivals the naive `format!("[{idx:04}] t={at_h:010.4}h {text}")`
+    /// over a separately formatted `text` costs more than the admission
+    /// work it records.
+    pub(crate) fn push_args(&mut self, at_h: f64, args: fmt::Arguments<'_>) {
         let mut line = String::with_capacity(128);
         line.push('[');
-        push_padded_int(&mut line, idx as u64, 4);
+        push_padded_int(&mut line, self.lines.len() as u64, 4);
         line.push_str("] t=");
         push_hours(&mut line, at_h);
         line.push_str("h ");
@@ -372,9 +376,8 @@ pub(crate) enum CampaignEvent {
     Heartbeat(usize),
     /// The anti-entropy sweep scheduled `grace` after a lease renewal:
     /// any lease now expired turns into a suspicion (imperfect only).
-    /// Carries the renewing device for the transcript; the sweep itself
-    /// is global.
-    LeaseCheck(#[allow(dead_code)] usize),
+    /// The sweep is global, so the check carries no device.
+    LeaseCheck,
 }
 
 /// Ground-truth bookkeeping the imperfect detector is *not* allowed to
@@ -727,7 +730,6 @@ pub(crate) fn run_fault_campaign_impl(
     let mut active: BTreeMap<usize, SessionId> = BTreeMap::new();
     let mut by_session: BTreeMap<SessionId, usize> = BTreeMap::new();
     let mut last_h = 0.0_f64;
-    let mut idx = 0usize;
     let stride = cfg.invariant_stride.max(1) as u64;
     let mut iterations = 0u64;
     // Hour of the last anti-entropy sweep: consecutive lease checks at
@@ -754,7 +756,6 @@ pub(crate) fn run_fault_campaign_impl(
         server.play(delta_h * 3600.0);
         last_h = at_h;
 
-        let mut lines: Vec<String> = Vec::new();
         match event {
             CampaignEvent::Arrival(i) => {
                 report.events += 1;
@@ -787,9 +788,6 @@ pub(crate) fn run_fault_campaign_impl(
                         DeviceId::from_index(client),
                     )
                 };
-                // Hot path: these lines go straight into the log (one
-                // String, one formatting pass) instead of through the
-                // `lines` staging buffer.
                 match outcome {
                     Ok(id) => {
                         spec.invalidate();
@@ -797,7 +795,6 @@ pub(crate) fn run_fault_campaign_impl(
                         active.insert(i, id);
                         by_session.insert(id, i);
                         log.push_args(
-                            idx,
                             at_h,
                             format_args!(
                                 "arrive  req{i} {name} client=dev{client} -> admitted as {id}"
@@ -824,7 +821,6 @@ pub(crate) fn run_fault_campaign_impl(
                         active.insert(i, id);
                         by_session.insert(id, i);
                         log.push_args(
-                            idx,
                             at_h,
                             format_args!(
                                 "arrive  req{i} {name} client=dev{client} -> parked on stale view as {id}"
@@ -834,7 +830,6 @@ pub(crate) fn run_fault_campaign_impl(
                     Err(e) => {
                         report.denied += 1;
                         log.push_args(
-                            idx,
                             at_h,
                             format_args!(
                                 "arrive  req{i} {name} client=dev{client} -> denied ({e})"
@@ -842,7 +837,6 @@ pub(crate) fn run_fault_campaign_impl(
                         );
                     }
                 }
-                idx += 1;
             }
             CampaignEvent::Departure(i) => {
                 report.events += 1;
@@ -854,17 +848,12 @@ pub(crate) fn run_fault_campaign_impl(
                         // The refund changed residual capacity.
                         spec.invalidate();
                         report.completed += 1;
-                        log.push_args(
-                            idx,
-                            at_h,
-                            format_args!("depart  req{i} -> completed ({id})"),
-                        );
+                        log.push_args(at_h, format_args!("depart  req{i} -> completed ({id})"));
                     }
                     None => {
-                        log.push_args(idx, at_h, format_args!("depart  req{i} -> already gone"));
+                        log.push_args(at_h, format_args!("depart  req{i} -> already gone"));
                     }
                 }
-                idx += 1;
             }
             CampaignEvent::Fault(j) => {
                 report.events += 1;
@@ -872,7 +861,7 @@ pub(crate) fn run_fault_campaign_impl(
                 // skipped ones — the check costs nothing).
                 spec.invalidate();
                 let fault = &schedule[j];
-                lines.push(apply_fault(
+                let line = apply_fault(
                     &mut server,
                     fault,
                     cfg,
@@ -881,7 +870,8 @@ pub(crate) fn run_fault_campaign_impl(
                     &mut active,
                     &mut by_session,
                     &mut report,
-                ));
+                );
+                log.push(at_h, &line);
             }
             CampaignEvent::Heartbeat(d) => {
                 let lost =
@@ -895,18 +885,19 @@ pub(crate) fn run_fault_campaign_impl(
                         report.reinstatements += 1;
                         count_pass(&rec, &mut report);
                         let tail = absorb_recovery(&rec, &mut active, &mut by_session, &mut report);
-                        lines.push(format!(
-                            "detect  reinstate dev{d} (lease renewed) -> {tail}"
-                        ));
+                        log.push_args(
+                            at_h,
+                            format_args!("detect  reinstate dev{d} (lease renewed) -> {tail}"),
+                        );
                     }
-                    queue.schedule(at_h + cfg.detection_grace_h, CampaignEvent::LeaseCheck(d));
+                    queue.schedule(at_h + cfg.detection_grace_h, CampaignEvent::LeaseCheck);
                 }
             }
-            CampaignEvent::LeaseCheck(_) if at_h > hb_end_h + 1e-9 => {
+            CampaignEvent::LeaseCheck if at_h > hb_end_h + 1e-9 => {
                 // Detector decommissioned with the heartbeat stream; the
                 // final sweep below reconciles remaining ground truth.
             }
-            CampaignEvent::LeaseCheck(_) if last_sweep_h == Some(at_h) => {
+            CampaignEvent::LeaseCheck if last_sweep_h == Some(at_h) => {
                 // Hoisted: heartbeats land on shared period multiples,
                 // so their lease checks cluster at identical instants
                 // and pop consecutively (in-loop schedules always
@@ -918,7 +909,7 @@ pub(crate) fn run_fault_campaign_impl(
                 // sweep is provably empty and skipped — no lines, no
                 // counters, digests byte-identical to sweeping again.
             }
-            CampaignEvent::LeaseCheck(_) => {
+            CampaignEvent::LeaseCheck => {
                 // Anti-entropy: *every* overdue lease is swept, not just
                 // the one whose renewal scheduled this check.
                 last_sweep_h = Some(at_h);
@@ -933,19 +924,18 @@ pub(crate) fn run_fault_campaign_impl(
                     count_pass(&rec, &mut report);
                     let tail = absorb_recovery(&rec, &mut active, &mut by_session, &mut report);
                     let tag = if ground_up { " (falsely)" } else { "" };
-                    lines.push(format!(
-                        "detect  suspect dev{}{tag} (lease expired) -> {tail}",
-                        device.index()
-                    ));
+                    log.push_args(
+                        at_h,
+                        format_args!(
+                            "detect  suspect dev{}{tag} (lease expired) -> {tail}",
+                            device.index()
+                        ),
+                    );
                 }
                 if swept {
                     spec.invalidate();
                 }
             }
-        }
-        for line in &lines {
-            log.push(idx, at_h, line);
-            idx += 1;
         }
 
         // Drain any parked-session retries that became due as virtual
@@ -955,8 +945,7 @@ pub(crate) fn run_fault_campaign_impl(
         if !retries.is_empty() {
             spec.invalidate();
             let tail = absorb_recovery(&retries, &mut active, &mut by_session, &mut report);
-            log.push(idx, at_h, &format!("retry   parked queue -> {tail}"));
-            idx += 1;
+            log.push_args(at_h, format_args!("retry   parked queue -> {tail}"));
         }
 
         iterations += 1;
@@ -1015,12 +1004,10 @@ pub(crate) fn run_fault_campaign_impl(
                 let rec = server.suspect_many(&[DeviceId::from_index(d)]);
                 count_pass(&rec, &mut report);
                 let tail = absorb_recovery(&rec, &mut active, &mut by_session, &mut report);
-                log.push(
-                    idx,
+                log.push_args(
                     last_h,
-                    &format!("detect  suspect dev{d} (final sweep) -> {tail}"),
+                    format_args!("detect  suspect dev{d} (final sweep) -> {tail}"),
                 );
-                idx += 1;
             }
         }
         // Eventual completeness: pump the retry queue dry. Every parked
@@ -1038,8 +1025,7 @@ pub(crate) fn run_fault_campaign_impl(
             let rec = server.process_retries();
             let drain_h = server.now_ms() / 3_600_000.0;
             let tail = absorb_recovery(&rec, &mut active, &mut by_session, &mut report);
-            log.push(idx, drain_h, &format!("drain   parked queue -> {tail}"));
-            idx += 1;
+            log.push_args(drain_h, format_args!("drain   parked queue -> {tail}"));
             report.invariant_checks += 1;
             let observed: BTreeSet<usize> = server.suspected_devices().clone();
             if let Err(violation) = check_invariants(&server, &observed) {
@@ -1547,8 +1533,8 @@ mod tests {
     #[test]
     fn streamed_digest_matches_rendered_digest() {
         let mut log = EventLog::default();
-        log.push(0, 0.25, "arrive  req0");
-        log.push_args(1, 17.333333, format_args!("depart  req{} -> gone", 0));
+        log.push(0.25, "arrive  req0");
+        log.push_args(17.333333, format_args!("depart  req{} -> gone", 0));
         assert_eq!(log.digest(), fnv1a(log.render().as_bytes()));
         assert!(log.lines()[1].starts_with("[0001] t=00017.3333h "));
     }

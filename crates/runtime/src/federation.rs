@@ -652,14 +652,12 @@ pub(crate) struct Shard {
     pub(crate) server: DomainServer,
     /// The base config with `devices` rewritten to this shard's size.
     pub(crate) cfg: FaultCampaignConfig,
-    pub(crate) log: EventLog,
     pub(crate) report: FaultReport,
     pub(crate) down: BTreeSet<usize>,
     pub(crate) det: DetectorState,
     pub(crate) active: BTreeMap<usize, SessionId>,
     pub(crate) by_session: BTreeMap<SessionId, usize>,
     pub(crate) last_h: f64,
-    pub(crate) idx: usize,
     pub(crate) iterations: u64,
     pub(crate) last_sweep_h: Option<f64>,
 }
@@ -669,6 +667,10 @@ struct Engine<'a> {
     schedule: Vec<TimedFault>,
     trace: Vec<Request>,
     shards: Vec<Shard>,
+    /// Per-shard transcripts. Output, not shard state: like the
+    /// directory and the link state, they live on the engine and
+    /// survive a shard crash untouched.
+    logs: Vec<EventLog>,
     /// Global index of each shard's first device.
     offsets: Vec<usize>,
     sizes: Vec<usize>,
@@ -859,7 +861,6 @@ impl<'a> Engine<'a> {
             }
             shards.push(Shard {
                 server,
-                log: EventLog::default(),
                 report: FaultReport {
                     seed: base.seed,
                     ..FaultReport::default()
@@ -869,7 +870,6 @@ impl<'a> Engine<'a> {
                 active: BTreeMap::new(),
                 by_session: BTreeMap::new(),
                 last_h: 0.0,
-                idx: 0,
                 iterations: 0,
                 last_sweep_h: None,
                 cfg: local,
@@ -945,6 +945,7 @@ impl<'a> Engine<'a> {
             schedule,
             trace,
             shards,
+            logs: vec![EventLog::default(); n],
             offsets,
             sizes,
             candidates,
@@ -1013,17 +1014,10 @@ impl<'a> Engine<'a> {
         shard.last_h = at_h;
     }
 
-    /// Appends one line to shard `s`'s log. Journaled before the push
-    /// (the line index is implicit in record order).
+    /// Appends one line to shard `s`'s log (unjournaled: the log is
+    /// engine-level output, not recoverable shard state).
     fn slog(&mut self, s: usize, at_h: f64, line: &str) {
-        self.wals[s].push(|| WalRecord::Line {
-            at_h,
-            line: line.to_owned(),
-        });
-        let shard = &mut self.shards[s];
-        let idx = shard.idx;
-        shard.log.push(idx, at_h, line);
-        shard.idx += 1;
+        self.logs[s].push(at_h, line);
     }
 
     /// Journaled `start_session` on shard `s`. This helper and the
@@ -2041,7 +2035,8 @@ impl<'a> Engine<'a> {
     /// Tears down shard `s` at the crash instant and rebuilds it from
     /// its last snapshot plus WAL replay, asserting the rebuild is
     /// field-for-field identical before swapping it in. The crash does
-    /// NOT advance the shard clock, log a line, or count an event —
+    /// NOT advance the shard clock, log a line, or count an event, and
+    /// the transcript (engine-level output) is left untouched —
     /// recovery is invisible in the event log by construction, so the
     /// digest-pinned equivalence contract stays two-sided (any replay
     /// bug trips the hard assert here and the digest gate downstream).
@@ -2794,7 +2789,7 @@ impl<'a> Engine<'a> {
         if !shard.iterations.is_multiple_of(stride) {
             return Ok(());
         }
-        let event_line = shard.log.lines().last().cloned().unwrap_or_default();
+        let event_line = self.logs[s].lines().last().cloned().unwrap_or_default();
         shard.report.invariant_checks += 1;
         let observed: BTreeSet<usize> = if self.imperfect {
             shard.server.suspected_devices().clone()
@@ -2925,7 +2920,7 @@ impl<'a> Engine<'a> {
             shard.report.live_at_end = shard.server.session_count() as u32;
             shard.report.parked_at_end = shard.server.parked_count() as u32;
             shard.report.stale_views = shard.server.stale_view_count() as u32;
-            shard.report.log_digest = shard.log.digest();
+            shard.report.log_digest = self.logs[s].digest();
         }
         Ok(())
     }
@@ -2946,10 +2941,11 @@ impl<'a> Engine<'a> {
         let shards: Vec<ShardOutcome> = self
             .shards
             .into_iter()
-            .map(|sh| ShardOutcome {
+            .zip(self.logs)
+            .map(|(sh, log)| ShardOutcome {
                 stages: sh.server.stage_times(),
                 report: sh.report,
-                log: sh.log,
+                log,
             })
             .collect();
         let mut bytes = Vec::with_capacity(shards.len() * 8);

@@ -8,11 +8,15 @@
 //! snapshot + WAL replay and drain to the crash-free run's exact
 //! per-shard event-log digests.
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use ubiqos_runtime::{
     run_federation_campaign, run_federation_campaign_lossy, run_federation_campaign_with,
-    FaultCampaignConfig, FederationConfig, LossConfig, ShardPartition,
+    DurabilityConfig, FaultCampaignConfig, FederationConfig, LossConfig, ShardPartition,
 };
-use ubiqos_sim::{merge_schedules, FaultKind, MobilityWaveConfig, ShardCrashPlan, TimedFault};
+use ubiqos_sim::{
+    merge_schedules, FaultKind, MobilityWaveConfig, ShardCrashPlan, TimedFault, WorkloadConfig,
+};
 
 /// A 16-device campaign that exercises every federation mechanism:
 /// device faults, mobility-driven cross-shard handoffs, forwarded
@@ -226,4 +230,71 @@ fn a_crash_mid_handoff_converges() {
         "a crash inside the reserve→decide window broke the handoff ledger"
     );
     assert!(crashed.fates_balance());
+}
+
+/// Systematic crash coverage on a reduced 2-shard campaign: one crash
+/// (restarted 0.1 h later) at every distinct arrival, departure and
+/// scheduled-fault instant, on each shard, at the tightest checkpoint
+/// cadence and at the default one. Every run must rebuild to the
+/// crash-free per-shard digests — the lines written after each crash
+/// are computed from the rebuilt state.
+#[test]
+fn crash_at_every_event_instant_converges() {
+    let base = FederationConfig {
+        base: FaultCampaignConfig {
+            devices: 8,
+            requests: 24,
+            horizon_h: 6.0,
+            faults: 6,
+            ..FaultCampaignConfig::default()
+        },
+        shards: 2,
+        mobility: MobilityWaveConfig {
+            moves: 6,
+            horizon_h: 6.0,
+            devices: 8,
+            ..MobilityWaveConfig::default()
+        },
+        ..FederationConfig::default()
+    };
+    let schedule = base.schedule();
+    let baseline = run_federation_campaign_with(&base, &schedule).expect("crash-free run");
+    // The engine's own workload trace (same generator, same seed).
+    let trace = WorkloadConfig::overload(base.base.requests, base.base.horizon_h)
+        .generate(&mut StdRng::seed_from_u64(base.base.seed));
+    let mut instants: Vec<f64> = trace
+        .iter()
+        .flat_map(|r| [r.arrival_h, r.departure_h()])
+        .chain(schedule.iter().map(|f| f.at_h))
+        .collect();
+    instants.sort_by(f64::total_cmp);
+    instants.dedup_by(|a, b| a.to_bits() == b.to_bits());
+    assert!(instants.len() >= 48, "{} instants", instants.len());
+
+    for checkpoint_every in [1, DurabilityConfig::default().checkpoint_every] {
+        let mut cfg = base.clone();
+        cfg.durability.checkpoint_every = checkpoint_every;
+        for &at_h in &instants {
+            for shard in 0..cfg.shards {
+                let crash = [
+                    TimedFault {
+                        at_h,
+                        kind: FaultKind::ShardCrash { shard },
+                    },
+                    TimedFault {
+                        at_h: at_h + 0.1,
+                        kind: FaultKind::ShardRestart { shard },
+                    },
+                ];
+                let merged = merge_schedules(&schedule, &crash);
+                let crashed = run_federation_campaign_with(&cfg, &merged).expect("crashed run");
+                let at = format!(
+                    "shard {shard} crashed at t={at_h}h, checkpoint every {checkpoint_every}"
+                );
+                assert_eq!(crashed.stats.shard_crashes, 1, "{at}");
+                assert_eq!(crashed.shard_digests(), baseline.shard_digests(), "{at}");
+                assert!(crashed.fates_balance(), "{at}");
+            }
+        }
+    }
 }
