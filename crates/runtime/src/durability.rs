@@ -33,7 +33,7 @@
 //! ## Replay determinism
 //!
 //! Replay re-executes recorded [`ServerCall`]s against the restored
-//! server through the same per-kind call code (`exec_*`) the engine's
+//! server through the same per-kind call code (`exec_*`) the shard core's
 //! journaled helpers use live — it never duplicates handler branch
 //! logic. A call whose
 //! live-side bookkeeping depended on the *outcome* (which recovered
@@ -55,8 +55,7 @@
 
 use crate::checkpoint::HandoffPlan;
 use crate::domain_server::{DomainServer, Session, SessionId};
-use crate::faults::apply_fault;
-use crate::federation::Shard;
+use crate::faults::{apply_fault, Shard};
 use crate::recovery::RecoveryReport;
 use serde::{Deserialize, Serialize};
 use ubiqos::fault_report::fnv1a;
@@ -142,7 +141,8 @@ pub(crate) enum WalRecord {
     /// A journaled domain-server call.
     Call(ServerCall),
     /// A shard-local device fault, replayed through the shared
-    /// [`apply_fault`] arm (which re-absorbs its recovery internally).
+    /// [`apply_fault`] arm. Its absorb re-derives the live custody
+    /// decision from the session tables alone.
     Fault(TimedFault),
     /// Event-boundary coalescence of aggregate state: the full
     /// counter report, the per-shard iteration count, and the sweep
@@ -243,7 +243,7 @@ impl ShardWal {
     }
 
     /// Rebuilds the shard from `snapshot + tail` replay. `grace_ms` is
-    /// the engine's detection grace (the one live heartbeat calls
+    /// the shard's detection grace (the one live heartbeat calls
     /// used).
     pub(crate) fn recover(&mut self, grace_ms: f64) -> Shard {
         let n = self.tail.len();
@@ -298,21 +298,14 @@ fn apply_record(shard: &mut Shard, rec: &WalRecord, grace_ms: f64) {
         }
         WalRecord::Call(call) => apply_call(shard, call, grace_ms),
         WalRecord::Fault(fault) => {
-            // Re-executes the shared serial fault arm — counter bumps,
+            // Re-executes the shared fault arm — counter bumps,
             // ground-truth flips, and recovery absorption all replay
             // inside it. Counters are overwritten by the next `Mark`
             // anyway; the ground truth (`down`, `det`) and the server
-            // mutations are what matter here.
-            let _line = apply_fault(
-                &mut shard.server,
-                fault,
-                &shard.cfg,
-                &mut shard.down,
-                &mut shard.det,
-                &mut shard.active,
-                &mut shard.by_session,
-                &mut shard.report,
-            );
+            // mutations are what matter here. The custody list was
+            // handed to the engine live, whose handoff ledger survives
+            // the crash.
+            let _ = apply_fault(shard, fault);
         }
         WalRecord::Mark {
             report,
@@ -327,7 +320,7 @@ fn apply_record(shard: &mut Shard, rec: &WalRecord, grace_ms: f64) {
 }
 
 /// `start_session` as [`ServerCall::Start`] records it. The `exec_*`
-/// functions are the per-kind call code: the engine's journaled helpers
+/// functions are the per-kind call code: the shard core's journaled helpers
 /// make their live calls through them and [`apply_call`] replays
 /// through them, so a live call and its replay cannot drift apart.
 pub(crate) fn exec_start(
@@ -533,26 +526,14 @@ pub(crate) fn assert_recovered_equal(live: &Shard, rebuilt: &Shard, s: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::{build_space, DetectorState, FaultCampaignConfig};
-    use std::collections::{BTreeMap, BTreeSet};
+    use crate::faults::{build_space, FaultCampaignConfig};
 
     fn tiny_shard() -> Shard {
         let cfg = FaultCampaignConfig {
             devices: 3,
             ..FaultCampaignConfig::default()
         };
-        Shard {
-            server: build_space(3),
-            cfg,
-            report: FaultReport::default(),
-            down: BTreeSet::new(),
-            det: DetectorState::new(3),
-            active: BTreeMap::new(),
-            by_session: BTreeMap::new(),
-            last_h: 0.0,
-            iterations: 0,
-            last_sweep_h: None,
-        }
+        Shard::new(build_space(3), cfg)
     }
 
     fn start_call(i: usize) -> WalRecord {
@@ -599,7 +580,7 @@ mod tests {
     }
 
     /// Untracks a live recovery pass's dropped sessions, as the
-    /// engine's absorb does, returning the ids its call record carries.
+    /// shard core's absorb does, returning the ids its call record carries.
     fn untrack_dropped(shard: &mut Shard, rec: &RecoveryReport) -> Vec<u64> {
         rec.dropped
             .iter()
@@ -616,7 +597,7 @@ mod tests {
         let mut wal = ShardWal::new(&DurabilityConfig::default(), &shard);
 
         // Live side: every `ServerCall` kind, made through the same
-        // `exec_*` code the engine's journaled helpers use and journaled
+        // `exec_*` code the shard core's journaled helpers use and journaled
         // exactly as they journal it.
         bookkeep(&mut shard, &mut wal, WalRecord::Advance { at_h: 0.25 });
         let (name, graph) = crate::faults::app_template(0);

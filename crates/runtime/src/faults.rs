@@ -58,6 +58,23 @@
 //! the retry queue is pumped dry — an eventually-healed schedule ends
 //! with zero permanently parked sessions).
 //!
+//! # One shard core, two runtimes
+//!
+//! A domain's admission-and-adaptation procedure exists once, as the
+//! shard core (`ShardCore`, crate-internal): one method per arm —
+//! clock advance, arrival (admit, park on a stale view, or deny),
+//! departure, device fault, same-shard move or switch, heartbeat, lease
+//! sweep, the per-event epilogue (retry drain, stride-gated invariant
+//! sweep, detector soundness), and the end-of-campaign drain. Two
+//! runtimes route events into it. The serial and batched loop here runs
+//! one core over the whole space and keeps only queue setup, batching,
+//! and speculation-table invalidation; [`crate::federation`] runs one
+//! core per shard and keeps only routing, forwarding, handoffs,
+//! transport, turns, and crash recovery. Every recovery pass folds into
+//! the shard's bookkeeping through one absorb, which hands recovered
+//! sessions the shard does not track (a federated handoff's
+//! reservation) back to the caller instead of counting them.
+//!
 //! The whole campaign is a pure function of
 //! [`FaultCampaignConfig::seed`]: the event log renders byte-identically
 //! across runs and across `UBIQOS_THREADS` settings, which
@@ -69,7 +86,11 @@
 
 use crate::cost_model::LinkKind;
 use crate::domain_server::{DomainServer, PlacementStrategy, SessionId};
-use crate::pipeline::{PipelineConfig, PipelineStats, SpecTable};
+use crate::durability::{
+    exec_heartbeat, exec_park, exec_relocate, exec_start, exec_stop, DurabilityConfig, ServerCall,
+    ShardWal, WalRecord,
+};
+use crate::pipeline::{PipelineConfig, PipelineStats, SpecTable, Speculated};
 use crate::profiler::StageTimes;
 use crate::recovery::RecoveryReport;
 use crate::retry_queue::RetryPolicy;
@@ -95,6 +116,9 @@ const FAULT_STREAM_SALT: u64 = 0x5eed_fa17_0000_0001;
 
 /// Numerical slack for conservation checks (charges are f64 sums).
 const EPS: f64 = 1e-6;
+
+/// Slack for "has this instant passed" comparisons on event times.
+pub(crate) const TIME_EPS: f64 = 1e-9;
 
 /// Parameters of one fault-injection campaign.
 #[derive(Debug, Clone, PartialEq)]
@@ -174,6 +198,22 @@ impl FaultCampaignConfig {
     /// pinned by `tests/fault_injection.rs` and the CI baseline.
     pub fn perfect_detection(&self) -> bool {
         self.detection_grace_h <= 0.0
+    }
+
+    /// Heartbeat multiples inside the horizon (`0` under perfect
+    /// detection): each device beats at `k * heartbeat_period_h` for
+    /// `k` in `0..=steps` — multiples rather than an accumulating sum,
+    /// so the last beat lands exactly on the horizon when it divides
+    /// evenly.
+    pub(crate) fn heartbeat_steps(&self) -> usize {
+        if self.perfect_detection() {
+            return 0;
+        }
+        assert!(
+            self.heartbeat_period_h > 0.0,
+            "imperfect detection needs a positive heartbeat period"
+        );
+        (self.horizon_h / self.heartbeat_period_h).floor() as usize
     }
 }
 
@@ -406,6 +446,714 @@ impl DetectorState {
     }
 }
 
+/// One domain's durable state: everything a domain-server crash loses
+/// and the write-ahead log rebuilds ([`crate::durability`] snapshots,
+/// replays, and fingerprints these fields).
+pub(crate) struct Shard {
+    pub(crate) server: DomainServer,
+    /// The campaign config, with `devices` set to this shard's size.
+    pub(crate) cfg: FaultCampaignConfig,
+    pub(crate) report: FaultReport,
+    /// Ground truth: the shard-local devices that are crashed.
+    pub(crate) down: BTreeSet<usize>,
+    pub(crate) det: DetectorState,
+    /// Request index -> tracked session (live or parked), and the
+    /// reverse.
+    pub(crate) active: BTreeMap<usize, SessionId>,
+    pub(crate) by_session: BTreeMap<SessionId, usize>,
+    pub(crate) last_h: f64,
+    pub(crate) iterations: u64,
+    /// Hour of the last anti-entropy sweep: consecutive lease checks at
+    /// one instant share a single sweep.
+    pub(crate) last_sweep_h: Option<f64>,
+}
+
+/// A recovered session the shard does not track, and what the pass did
+/// to it. Only the federated engine creates untracked live sessions (a
+/// handoff's reservation on its destination), so this is reservation
+/// custody: the engine re-tags the handoff.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Custody {
+    Dropped(SessionId),
+    Parked(SessionId),
+    Readmitted(SessionId),
+}
+
+impl Shard {
+    /// A fresh shard around `server`, with the config's recovery,
+    /// cache, and placement settings applied.
+    pub(crate) fn new(mut server: DomainServer, cfg: FaultCampaignConfig) -> Self {
+        if !cfg.staged_recovery {
+            server.set_ladder(DegradationLadder::strict());
+            server.set_retry_policy(RetryPolicy::strict());
+        }
+        server.set_config_cache(cfg.config_cache);
+        server.set_placement_strategy(cfg.placement);
+        Shard {
+            server,
+            report: FaultReport {
+                seed: cfg.seed,
+                ..FaultReport::default()
+            },
+            down: BTreeSet::new(),
+            det: DetectorState::new(cfg.devices),
+            active: BTreeMap::new(),
+            by_session: BTreeMap::new(),
+            last_h: 0.0,
+            iterations: 0,
+            last_sweep_h: None,
+            cfg,
+        }
+    }
+
+    /// Folds a [`RecoveryReport`] into the shard's bookkeeping — the one
+    /// recovery absorb, live and during WAL replay. Re-placements (full
+    /// quality or degraded) count as replacements; parked sessions stay
+    /// tracked (a later departure reaches them through `stop_session`);
+    /// dropped ones leave the session tables, each with its witnessing
+    /// error (asserted here). Untracked recovered sessions are handed
+    /// back as [`Custody`] and left out of the fate counters (the shard
+    /// does not own them until their commit lands); the rendered tail
+    /// describes the whole pass. Returns the tail and the raw ids of
+    /// the tracked sessions the pass dropped and this absorb untracked
+    /// (the WAL records them with the call).
+    pub(crate) fn absorb(
+        &mut self,
+        rec: &RecoveryReport,
+        custody: &mut Vec<Custody>,
+    ) -> (String, Vec<u64>) {
+        assert_eq!(
+            rec.dropped.len(),
+            rec.drop_errors.len(),
+            "every drop carries the error witnessing unplaceability"
+        );
+        let mut removed = Vec::new();
+        for (id, (witness_id, _)) in rec.dropped.iter().zip(&rec.drop_errors) {
+            assert_eq!(id, witness_id, "drop witnesses line up");
+            match self.by_session.remove(id) {
+                Some(req) => {
+                    self.active.remove(&req);
+                    removed.push(id.raw());
+                }
+                None => custody.push(Custody::Dropped(*id)),
+            }
+        }
+        let held = custody.len();
+        custody.extend(
+            rec.parked
+                .iter()
+                .filter(|id| !self.by_session.contains_key(id))
+                .map(|&id| Custody::Parked(id)),
+        );
+        let held_parked = custody.len() - held;
+        custody.extend(
+            rec.readmitted
+                .iter()
+                .filter(|id| !self.by_session.contains_key(id))
+                .map(|&id| Custody::Readmitted(id)),
+        );
+        let held_readmitted = custody.len() - held - held_parked;
+        let report = &mut self.report;
+        report.replacements += rec.replacements() as u32;
+        report.degraded += rec.degraded.len() as u32;
+        report.parked += (rec.parked.len() - held_parked) as u32;
+        report.readmitted += (rec.readmitted.len() - held_readmitted) as u32;
+        report.dropped += removed.len() as u32;
+        let mut tail = format!(
+            "re-placed {} ({} degraded), parked {}, readmitted {}, dropped {}; affected {}/{}",
+            rec.replacements(),
+            rec.degraded.len(),
+            rec.parked.len(),
+            rec.readmitted.len(),
+            rec.dropped.len(),
+            rec.affected,
+            rec.considered,
+        );
+        for (id, err) in &rec.drop_errors {
+            let _ = write!(tail, "; {id} unplaceable ({err})");
+        }
+        (tail, removed)
+    }
+}
+
+/// One arrival as the shard resolving it sees it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Arrival {
+    /// The workload request index.
+    pub(crate) req: usize,
+    /// Its application template ([`app_template`]).
+    pub(crate) graph_index: usize,
+    /// The client device, shard-local.
+    pub(crate) client_local: usize,
+    /// The shard that forwarded the arrival here, if any.
+    pub(crate) via: Option<usize>,
+}
+
+/// Renders an [`Arrival::via`] transcript tag (empty when the arrival
+/// was not forwarded).
+struct Via(Option<usize>);
+
+impl fmt::Display for Via {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            Some(a) => write!(f, " via shard{a}"),
+            None => Ok(()),
+        }
+    }
+}
+
+/// A shard together with what sits beside it: its write-ahead log and
+/// its transcript. The methods are the domain's per-shard arms, one
+/// admission-and-adaptation procedure for both runtimes: the serial and
+/// batched loop runs one core over the whole space, the federated
+/// engine one per shard, and each only routes events into these arms.
+/// Every server mutation journals through the WAL (inert when
+/// durability is off, as in the serial loop) and every line goes to
+/// the transcript, which is output, not shard state (DESIGN §17).
+pub(crate) struct ShardCore {
+    pub(crate) shard: Shard,
+    pub(crate) wal: ShardWal,
+    pub(crate) log: EventLog,
+    /// Global index of the shard's first device (transcript context).
+    pub(crate) offset: usize,
+    /// Lease grace, in virtual milliseconds.
+    pub(crate) grace_ms: f64,
+    /// The last heartbeat instant.
+    hb_end_h: f64,
+    /// Reservation custody handed back by the last arm's absorbs, for
+    /// the federated engine to re-tag; the serial loop never has any.
+    pub(crate) custody: Vec<Custody>,
+}
+
+impl ShardCore {
+    pub(crate) fn new(shard: Shard, offset: usize, durability: &DurabilityConfig) -> Self {
+        let cfg = &shard.cfg;
+        ShardCore {
+            grace_ms: cfg.detection_grace_h * 3_600_000.0,
+            hb_end_h: cfg.heartbeat_steps() as f64 * cfg.heartbeat_period_h,
+            wal: ShardWal::new(durability, &shard),
+            log: EventLog::default(),
+            offset,
+            custody: Vec::new(),
+            shard,
+        }
+    }
+
+    /// Whether the detector is running at `at_h`. It lives exactly as
+    /// long as the heartbeat stream: a lease check after the last beat
+    /// would suspect every healthy device simply because its renewals
+    /// stopped with the schedule, so those are ignored and the final
+    /// sweep reconciles what is still unreachable.
+    fn detector_live(&self, at_h: f64) -> bool {
+        at_h <= self.hb_end_h + TIME_EPS
+    }
+
+    /// Advances the shard's virtual clock to `at_h` (monotone).
+    pub(crate) fn advance(&mut self, at_h: f64) {
+        self.wal.push(|| WalRecord::Advance { at_h });
+        let delta_h = (at_h - self.shard.last_h).max(0.0);
+        self.shard.server.play(delta_h * 3600.0);
+        self.shard.last_h = at_h;
+    }
+
+    /// The shard-local devices that are up, ascending: the domain of a
+    /// client draw.
+    pub(crate) fn up_devices(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.shard.cfg.devices).filter(|d| !self.shard.down.contains(d))
+    }
+
+    /// Tracks session `id` for request `req`.
+    pub(crate) fn track(&mut self, req: usize, id: SessionId) {
+        self.shard.active.insert(req, id);
+        self.shard.by_session.insert(id, req);
+        self.wal.push(|| WalRecord::Track { req, sid: id.raw() });
+    }
+
+    /// Untracks request `req` / session `id`.
+    pub(crate) fn untrack(&mut self, req: usize, id: SessionId) {
+        self.shard.active.remove(&req);
+        self.shard.by_session.remove(&id);
+        self.wal.push(|| WalRecord::Untrack { req, sid: id.raw() });
+    }
+
+    /// Journaled `start_session`, or the adoption of a `speculated`
+    /// pipeline outcome — `start_session` decomposed, so replay starts
+    /// the session plainly. The `call_*` methods are the only way an arm
+    /// or a handler mutates the server: each journals its
+    /// [`ServerCall`] and calls through the `exec_*` code replay uses.
+    pub(crate) fn call_start(
+        &mut self,
+        name: impl Fn() -> String,
+        graph: AbstractServiceGraph,
+        qos: QosVector,
+        client_local: usize,
+        speculated: Option<Speculated>,
+    ) -> Result<SessionId, ConfigureError> {
+        self.wal.push(|| {
+            WalRecord::Call(ServerCall::Start {
+                name: name(),
+                graph: graph.clone(),
+                qos: qos.clone(),
+                client_local,
+            })
+        });
+        let server = &mut self.shard.server;
+        match speculated {
+            None => exec_start(server, name(), graph, qos, client_local),
+            Some(sp) => {
+                server.admit_speculated(name, graph, qos, DeviceId::from_index(client_local), sp)
+            }
+        }
+    }
+
+    /// Journaled `park_arrival`.
+    pub(crate) fn call_park(
+        &mut self,
+        name: String,
+        graph: AbstractServiceGraph,
+        qos: QosVector,
+        client_local: usize,
+        err: ConfigureError,
+    ) -> SessionId {
+        self.wal.push(|| {
+            WalRecord::Call(ServerCall::Park {
+                name: name.clone(),
+                graph: graph.clone(),
+                qos: qos.clone(),
+                client_local,
+                err: err.clone(),
+            })
+        });
+        exec_park(&mut self.shard.server, name, graph, qos, client_local, err)
+    }
+
+    /// Journaled `stop_session` of a held (live or parked) session: a
+    /// departure, refund, or release.
+    pub(crate) fn call_stop(&mut self, sid: SessionId) {
+        self.wal
+            .push(|| WalRecord::Call(ServerCall::Stop { sid: sid.raw() }));
+        let stopped = exec_stop(&mut self.shard.server, sid.raw());
+        debug_assert!(stopped.is_some(), "a journaled stop targets a held session");
+    }
+
+    /// The arrival arm: counts the event, then admits.
+    pub(crate) fn arrival(
+        &mut self,
+        a: Arrival,
+        graph: AbstractServiceGraph,
+        at_h: f64,
+        speculated: Option<Speculated>,
+    ) -> Result<bool, ConfigureError> {
+        self.shard.report.events += 1;
+        self.admit_arrival(a, graph, at_h, speculated)
+    }
+
+    /// Admits arrival `a` of `graph` (its template), adopting the
+    /// batched loop's `speculated` outcome when given. A start that
+    /// fails on a stale view parks the session instead: the view said
+    /// yes, reality said no at activation, nothing was charged, and the
+    /// session's fate resolves later (counted as admitted). Returns
+    /// whether the session was charged; any other refusal is returned
+    /// untouched, for the caller to forward or deny.
+    pub(crate) fn admit_arrival(
+        &mut self,
+        a: Arrival,
+        graph: AbstractServiceGraph,
+        at_h: f64,
+        speculated: Option<Speculated>,
+    ) -> Result<bool, ConfigureError> {
+        let (i, name) = (a.req, template_name(a.graph_index));
+        let started = self.call_start(
+            || format!("{name}-{i}"),
+            graph,
+            QosVector::new(),
+            a.client_local,
+            speculated,
+        );
+        let (id, charged) = match started {
+            Ok(id) => (id, true),
+            Err(e) if matches!(e, ConfigureError::StaleView { .. }) => {
+                let (_, graph) = app_template(a.graph_index);
+                let name = format!("{name}-{i}");
+                (
+                    self.call_park(name, graph, QosVector::new(), a.client_local, e),
+                    false,
+                )
+            }
+            Err(e) => return Err(e),
+        };
+        self.track(i, id);
+        let report = &mut self.shard.report;
+        report.arrivals += 1;
+        report.admitted += 1;
+        let fate = if charged {
+            "admitted"
+        } else {
+            report.parked += 1;
+            "parked on stale view"
+        };
+        let client = self.offset + a.client_local;
+        self.log.push_args(
+            at_h,
+            format_args!(
+                "arrive  req{i} {name} client=dev{client}{} -> {fate} as {id}",
+                Via(a.via)
+            ),
+        );
+        Ok(charged)
+    }
+
+    /// Denies arrival `a`, witnessed by `err`.
+    pub(crate) fn deny_arrival(&mut self, a: Arrival, at_h: f64, err: &dyn fmt::Display) {
+        let report = &mut self.shard.report;
+        report.arrivals += 1;
+        report.denied += 1;
+        let (i, name) = (a.req, template_name(a.graph_index));
+        let client = self.offset + a.client_local;
+        self.log.push_args(
+            at_h,
+            format_args!(
+                "arrive  req{i} {name} client=dev{client}{} -> denied ({err})",
+                Via(a.via)
+            ),
+        );
+    }
+
+    /// The departure arm: completes request `i`'s tracked session.
+    /// Returns whether one was stopped (the refund changed capacity).
+    pub(crate) fn depart(&mut self, i: usize, at_h: f64) -> bool {
+        self.shard.report.events += 1;
+        let Some(id) = self.shard.active.get(&i).copied() else {
+            self.log
+                .push_args(at_h, format_args!("depart  req{i} -> already gone"));
+            return false;
+        };
+        self.untrack(i, id);
+        self.shard.report.completed += 1;
+        self.call_stop(id);
+        self.log
+            .push_args(at_h, format_args!("depart  req{i} -> completed ({id})"));
+        true
+    }
+
+    /// The fault arm of a core that owns the whole device space (the
+    /// serial loop): moves and switches pick over this shard's live
+    /// sessions; every other kind is a device fault.
+    pub(crate) fn fault(&mut self, fault: &TimedFault, at_h: f64) {
+        match fault.kind {
+            FaultKind::MoveUser { pick, to } | FaultKind::SwitchDevice { pick, to } => {
+                self.shard.report.events += 1;
+                let picked = pick_live(std::slice::from_ref(self), pick).map(|(_, id)| id);
+                let is_move = matches!(fault.kind, FaultKind::MoveUser { .. });
+                self.relocate(picked, to, is_move, at_h);
+            }
+            _ => self.device_fault(fault, at_h),
+        }
+    }
+
+    /// The device-fault arm: journals and counts the shard-local fault,
+    /// applies it, and logs what happened.
+    pub(crate) fn device_fault(&mut self, fault: &TimedFault, at_h: f64) {
+        self.wal.push(|| WalRecord::Fault(*fault));
+        self.shard.report.events += 1;
+        let (line, custody) = apply_fault(&mut self.shard, fault);
+        self.custody.extend(custody);
+        self.log.push(at_h, &line);
+    }
+
+    /// The same-shard move/switch arm: relocates live session `picked`
+    /// to shard-local device `to_local`, or logs the skip when there was
+    /// no live session to pick. The caller counts the event.
+    pub(crate) fn relocate(
+        &mut self,
+        picked: Option<SessionId>,
+        to_local: usize,
+        is_move: bool,
+        at_h: f64,
+    ) {
+        let label = if is_move {
+            "move-user"
+        } else {
+            "switch-device"
+        };
+        let Some(id) = picked else {
+            self.log.push_args(
+                at_h,
+                format_args!("fault   {label} -> skipped (no live session)"),
+            );
+            return;
+        };
+        self.wal.push(|| {
+            let sid = id.raw();
+            WalRecord::Call(if is_move {
+                ServerCall::Move { sid, to_local }
+            } else {
+                ServerCall::Switch { sid, to_local }
+            })
+        });
+        let result = exec_relocate(&mut self.shard.server, id.raw(), to_local, is_move);
+        let report = &mut self.shard.report;
+        let failures = if is_move {
+            report.moves += 1;
+            &mut report.move_failures
+        } else {
+            report.switches += 1;
+            &mut report.switch_failures
+        };
+        let to = self.offset + to_local;
+        match result {
+            Ok(plan) => self.log.push_args(
+                at_h,
+                format_args!(
+                    "fault   {label} {id} -> dev{to} (resume at {:.4}s)",
+                    plan.resume_position_s()
+                ),
+            ),
+            Err(e) => {
+                *failures += 1;
+                self.log.push_args(
+                    at_h,
+                    format_args!("fault   {label} {id} -> dev{to} failed ({e}), old config kept"),
+                );
+            }
+        }
+    }
+
+    /// The heartbeat arm for shard-local device `d`. The beat is lost
+    /// while the device is down, partitioned, or jammed; otherwise it
+    /// renews the lease — journaled even when it reinstates nothing,
+    /// since replay must renew the lease too — and a beat from a
+    /// suspected device withdraws the stale suspicion. Returns `None`
+    /// when lost, else whether the device was reinstated.
+    pub(crate) fn heartbeat(&mut self, d: usize, at_h: f64) -> Option<bool> {
+        let det = &self.shard.det;
+        if self.shard.down.contains(&d) || det.partition_depth[d] > 0 || at_h < det.jam_until_h[d] {
+            return None;
+        }
+        let rec = exec_heartbeat(&mut self.shard.server, d, self.grace_ms);
+        let mut removed = Vec::new();
+        if let Some(rec) = &rec {
+            let (tail, ids) = self.shard.absorb(rec, &mut self.custody);
+            removed = ids;
+            self.shard.report.reinstatements += 1;
+            count_pass(rec, &mut self.shard.report);
+            self.log.push_args(
+                at_h,
+                format_args!("detect  reinstate dev{d} (lease renewed) -> {tail}"),
+            );
+        }
+        self.wal
+            .push(|| WalRecord::Call(ServerCall::Heartbeat { device: d, removed }));
+        Some(rec.is_some())
+    }
+
+    /// The lease-check arm: an anti-entropy sweep suspecting *every*
+    /// overdue lease, not just the one whose renewal scheduled it.
+    /// Returns whether any device was suspected.
+    ///
+    /// Same-instant checks share one sweep: heartbeats land on shared
+    /// period multiples, so their checks cluster at identical instants
+    /// and pop consecutively, and nothing between two of them can
+    /// create a new overdue lease — the repeat sweep is provably empty
+    /// and skipped (no lines, no counters, no journal record).
+    pub(crate) fn lease_check(&mut self, at_h: f64) -> bool {
+        if !self.detector_live(at_h) || self.shard.last_sweep_h == Some(at_h) {
+            return false;
+        }
+        self.shard.last_sweep_h = Some(at_h);
+        let passes = self.shard.server.expire_overdue_leases();
+        let mut removed = Vec::with_capacity(passes.len());
+        for (device, rec) in &passes {
+            let (tail, ids) = self.shard.absorb(rec, &mut self.custody);
+            removed.push(ids);
+            let report = &mut self.shard.report;
+            report.suspicions += 1;
+            let ground_up = !self.shard.down.contains(&device.index());
+            if ground_up {
+                report.false_suspected += 1;
+            }
+            count_pass(rec, report);
+            let tag = if ground_up { " (falsely)" } else { "" };
+            self.log.push_args(
+                at_h,
+                format_args!(
+                    "detect  suspect dev{}{tag} (lease expired) -> {tail}",
+                    device.index()
+                ),
+            );
+        }
+        self.wal
+            .push(|| WalRecord::Call(ServerCall::ExpireLeases { removed }));
+        !passes.is_empty()
+    }
+
+    /// The per-event epilogue: drains parked-session retries that came
+    /// due as virtual time advanced, then runs the stride-gated
+    /// invariant sweep and the detector-soundness check. Ends the WAL's
+    /// event group with a `Mark` and checkpoints when the tail is long
+    /// enough. Returns whether the retry drain moved sessions.
+    pub(crate) fn finish_event(&mut self, at_h: f64) -> Result<bool, InvariantViolation> {
+        let retries = self.shard.server.process_retries();
+        let moved = !retries.is_empty();
+        let mut removed = Vec::new();
+        if moved {
+            let (tail, ids) = self.shard.absorb(&retries, &mut self.custody);
+            removed = ids;
+            self.log
+                .push_args(at_h, format_args!("retry   parked queue -> {tail}"));
+        }
+        self.wal
+            .push(|| WalRecord::Call(ServerCall::Retries { removed }));
+        self.check_event(at_h)?;
+        self.mark();
+        if self.wal.due_checkpoint() {
+            self.wal.checkpoint(&self.shard);
+        }
+        Ok(moved)
+    }
+
+    /// Journals an event-boundary `Mark`: the counter report plus the
+    /// epilogue cursors, so replay lands exactly on the current
+    /// aggregate state.
+    pub(crate) fn mark(&mut self) {
+        let shard = &self.shard;
+        self.wal.push(|| WalRecord::Mark {
+            report: Box::new(shard.report.clone()),
+            iterations: shard.iterations,
+            last_sweep_h: shard.last_sweep_h,
+        });
+    }
+
+    /// The invariant half of the epilogue, every `invariant_stride`-th
+    /// event.
+    fn check_event(&mut self, at_h: f64) -> Result<(), InvariantViolation> {
+        let detector_live = self.detector_live(at_h);
+        let shard = &mut self.shard;
+        shard.iterations += 1;
+        if !shard
+            .iterations
+            .is_multiple_of(shard.cfg.invariant_stride.max(1) as u64)
+        {
+            return Ok(());
+        }
+        // Cloned lazily: only checked iterations pay for the context.
+        let event_line = self.log.lines().last().cloned().unwrap_or_default();
+        shard.report.invariant_checks += 1;
+        let imperfect = !shard.cfg.perfect_detection();
+        let observed = if imperfect {
+            shard.server.suspected_devices().clone()
+        } else {
+            shard.down.clone()
+        };
+        let violation = |violation| InvariantViolation {
+            at_h_milli: (at_h * 1000.0).round() as u64,
+            event: event_line.clone(),
+            violation,
+        };
+        check_invariants(&shard.server, &observed).map_err(violation)?;
+        if imperfect && detector_live {
+            // Soundness after grace: once a device has been unreachable
+            // longer than grace + one heartbeat period, some lease check
+            // must have suspected it.
+            let lag = shard.cfg.detection_grace_h + shard.cfg.heartbeat_period_h + 1e-6;
+            for (&d, &since) in &shard.det.unreachable_since {
+                if at_h > since + lag && !shard.server.is_suspected(DeviceId::from_index(d)) {
+                    return Err(violation(format!(
+                        "detector unsound: dev{d} unreachable since t={since:.4}h \
+                         still unsuspected at t={at_h:.4}h (grace {:.4}h)",
+                        shard.cfg.detection_grace_h
+                    )));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The end of the campaign. Under imperfect detection, an
+    /// anti-entropy final sweep suspects every device still unreachable
+    /// whose lease check has not fired, and the retry queue is pumped
+    /// dry (eventual completeness: every parked session re-admits or
+    /// exhausts its finite budget and drops witnessed). Then the report
+    /// is finalized. Nothing follows it, so nothing is journaled.
+    pub(crate) fn finalize(&mut self) -> Result<(), InvariantViolation> {
+        if !self.shard.cfg.perfect_detection() {
+            for d in 0..self.shard.cfg.devices {
+                let shard = &mut self.shard;
+                let unreachable = shard.down.contains(&d) || shard.det.partition_depth[d] > 0;
+                if !unreachable || shard.server.is_suspected(DeviceId::from_index(d)) {
+                    continue;
+                }
+                shard.report.suspicions += 1;
+                if !shard.down.contains(&d) {
+                    shard.report.false_suspected += 1;
+                }
+                let rec = shard.server.suspect_many(&[DeviceId::from_index(d)]);
+                count_pass(&rec, &mut shard.report);
+                let (tail, _) = self.shard.absorb(&rec, &mut self.custody);
+                self.log.push_args(
+                    self.shard.last_h,
+                    format_args!("detect  suspect dev{d} (final sweep) -> {tail}"),
+                );
+            }
+            while self.shard.server.parked_count() > 0 {
+                let server = &mut self.shard.server;
+                let next_ms = server
+                    .parked_sessions()
+                    .map(|(_, p)| p.next_retry_ms)
+                    .fold(f64::INFINITY, f64::min);
+                if next_ms > server.now_ms() {
+                    server.play((next_ms - server.now_ms()) / 1000.0);
+                }
+                let rec = server.process_retries();
+                let drain_h = server.now_ms() / 3_600_000.0;
+                let (tail, _) = self.shard.absorb(&rec, &mut self.custody);
+                self.log
+                    .push_args(drain_h, format_args!("drain   parked queue -> {tail}"));
+                let shard = &mut self.shard;
+                shard.report.invariant_checks += 1;
+                check_invariants(&shard.server, shard.server.suspected_devices()).map_err(
+                    |violation| InvariantViolation {
+                        at_h_milli: (drain_h * 1000.0).round() as u64,
+                        event: "drain   parked queue".to_owned(),
+                        violation,
+                    },
+                )?;
+            }
+        }
+        let report = &mut self.shard.report;
+        let server = &self.shard.server;
+        report.live_at_end = server.session_count() as u32;
+        report.parked_at_end = server.parked_count() as u32;
+        report.stale_views = server.stale_view_count() as u32;
+        report.log_digest = self.log.digest();
+        Ok(())
+    }
+}
+
+/// The `pick`-th live tracked session over `cores`, shard-major with
+/// each shard's sessions in id order — the target draw of a move or
+/// switch. Parked sessions stay tracked but have no live placement, so
+/// only live ones are candidates.
+pub(crate) fn pick_live(cores: &[ShardCore], pick: u64) -> Option<(usize, SessionId)> {
+    fn live(s: usize, core: &ShardCore) -> impl Iterator<Item = (usize, SessionId)> + '_ {
+        let shard = &core.shard;
+        shard
+            .by_session
+            .keys()
+            .filter(|&&id| shard.server.session(id).is_some())
+            .map(move |&id| (s, id))
+    }
+    let all = || cores.iter().enumerate().flat_map(|(s, core)| live(s, core));
+    let n = all().count();
+    (n > 0).then(|| all().nth((pick % n as u64) as usize))?
+}
+
+/// Request `req`'s client device: a seeded draw over the `up` devices
+/// that never consumes the workload RNG stream.
+pub(crate) fn client_draw(seed: u64, req: usize, up: &[usize]) -> usize {
+    up[(splitmix64(seed ^ req as u64) % up.len() as u64) as usize]
+}
+
 /// Builds the campaign's smart space: `devices` devices with cycling
 /// capacity profiles, mixed wired/wireless links, and a registry
 /// offering a WAV pipeline plus an MPEG pipeline whose sink only accepts
@@ -530,13 +1278,21 @@ pub fn app_template(graph_index: usize) -> (&'static str, AbstractServiceGraph) 
         let s = g.add_spec(AbstractComponentSpec::new("wav-source"));
         let p = g.add_spec(AbstractComponentSpec::new("wav-sink").with_pin(PinHint::ClientDevice));
         g.add_edge(s, p, 1.2).expect("template edge");
-        ("wav-audio", g)
     } else {
         let s = g.add_spec(AbstractComponentSpec::new("mpeg-source"));
         let p =
             g.add_spec(AbstractComponentSpec::new("pcm-player").with_pin(PinHint::ClientDevice));
         g.add_edge(s, p, 2.5).expect("template edge");
-        ("mpeg-audio", g)
+    }
+    (template_name(graph_index), g)
+}
+
+/// The name of [`app_template`]`(graph_index)`, without building it.
+pub(crate) fn template_name(graph_index: usize) -> &'static str {
+    if graph_index.is_multiple_of(2) {
+        "wav-audio"
+    } else {
+        "mpeg-audio"
     }
 }
 
@@ -613,18 +1369,17 @@ pub fn run_fault_campaign_with(
 /// [`crate::pipeline`] module docs for why that preserves the serial
 /// pop order), then primes the speculation table for the batch's
 /// arrivals on the worker pool before the first commit.
-#[allow(clippy::too_many_arguments)]
 fn next_event(
     pending: &mut VecDeque<(f64, CampaignEvent)>,
     queue: &mut EventQueue<CampaignEvent>,
     pipeline: Option<&PipelineConfig>,
-    cfg: &FaultCampaignConfig,
     trace: &[Request],
-    down: &BTreeSet<usize>,
     spec: &mut SpecTable,
-    server: &DomainServer,
+    core: &ShardCore,
     batch_wall: &mut Instant,
 ) -> Option<(f64, CampaignEvent)> {
+    let cfg = &core.shard.cfg;
+    let server = &core.shard.server;
     if pending.is_empty() {
         let max = pipeline.map_or(1, |pl| pl.batch_size.max(1));
         let imperfect = !cfg.perfect_detection();
@@ -646,7 +1401,7 @@ fn next_event(
         if let Some(pl) = pipeline {
             if !pending.is_empty() {
                 server.record_batch_size(pending.len());
-                spec.prime(server, pl, cfg, trace, down, pending.iter().map(|(_, e)| e));
+                spec.prime(core, pl, trace, pending.iter().map(|(_, e)| e));
                 *batch_wall = Instant::now();
             }
         }
@@ -658,45 +1413,26 @@ fn next_event(
     next
 }
 
-/// The shared campaign body behind [`run_fault_campaign_with`]
+/// The serial and batched loop behind [`run_fault_campaign_with`]
 /// (`pipeline == None`: commit events straight off the DES queue) and
 /// [`crate::pipeline::run_fault_campaign_batched`] (`Some`: admit in
 /// batches, speculate arrival pipelines on the worker pool, commit in
-/// the identical deterministic order).
+/// the identical deterministic order). It owns queue setup, batching,
+/// and speculation-table invalidation; every event is a call into one
+/// [`ShardCore`] spanning the whole space.
 pub(crate) fn run_fault_campaign_impl(
     cfg: &FaultCampaignConfig,
     schedule: &[TimedFault],
     pipeline: Option<&PipelineConfig>,
 ) -> Result<CampaignOutcome, InvariantViolation> {
-    let mut server = build_space(cfg.devices);
-    if !cfg.staged_recovery {
-        server.set_ladder(DegradationLadder::strict());
-        server.set_retry_policy(RetryPolicy::strict());
-    }
-    server.set_config_cache(cfg.config_cache);
-    server.set_placement_strategy(cfg.placement);
+    let inert = DurabilityConfig {
+        enabled: false,
+        ..DurabilityConfig::default()
+    };
+    let mut core = ShardCore::new(Shard::new(build_space(cfg.devices), cfg.clone()), 0, &inert);
     let workload = WorkloadConfig::overload(cfg.requests, cfg.horizon_h);
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let trace = workload.generate(&mut rng);
-
-    let imperfect = !cfg.perfect_detection();
-    let grace_ms = cfg.detection_grace_h * 3_600_000.0;
-    // The detector lives exactly as long as the heartbeat stream: lease
-    // checks that fire after the last scheduled heartbeat are ignored
-    // (otherwise every healthy device would be "suspected" at the end of
-    // the campaign simply because its renewals stopped with the
-    // schedule). The final anti-entropy sweep below reconciles whatever
-    // is still unreachable at that point.
-    let hb_steps = if imperfect {
-        assert!(
-            cfg.heartbeat_period_h > 0.0,
-            "imperfect detection needs a positive heartbeat period"
-        );
-        (cfg.horizon_h / cfg.heartbeat_period_h).floor() as usize
-    } else {
-        0
-    };
-    let hb_end_h = hb_steps as f64 * cfg.heartbeat_period_h;
 
     let mut queue: EventQueue<CampaignEvent> = EventQueue::new();
     for (i, r) in trace.iter().enumerate() {
@@ -706,11 +1442,9 @@ pub(crate) fn run_fault_campaign_impl(
     for (j, f) in schedule.iter().enumerate() {
         queue.schedule(f.at_h, CampaignEvent::Fault(j));
     }
-    if imperfect {
-        // Multiples of the period (not an accumulating sum) so the last
-        // heartbeat lands exactly on the horizon when it divides evenly.
+    if !cfg.perfect_detection() {
         for d in 0..cfg.devices {
-            for k in 0..=hb_steps {
+            for k in 0..=cfg.heartbeat_steps() {
                 queue.schedule(
                     k as f64 * cfg.heartbeat_period_h,
                     CampaignEvent::Heartbeat(d),
@@ -719,22 +1453,6 @@ pub(crate) fn run_fault_campaign_impl(
         }
     }
 
-    let mut report = FaultReport {
-        seed: cfg.seed,
-        ..FaultReport::default()
-    };
-    let mut log = EventLog::default();
-    let mut down: BTreeSet<usize> = BTreeSet::new();
-    let mut det = DetectorState::new(cfg.devices);
-    // request index -> live session, and the reverse (for drop handling).
-    let mut active: BTreeMap<usize, SessionId> = BTreeMap::new();
-    let mut by_session: BTreeMap<SessionId, usize> = BTreeMap::new();
-    let mut last_h = 0.0_f64;
-    let stride = cfg.invariant_stride.max(1) as u64;
-    let mut iterations = 0u64;
-    // Hour of the last anti-entropy sweep: consecutive lease checks at
-    // one instant share a single sweep (see the LeaseCheck arm).
-    let mut last_sweep_h: Option<f64> = None;
     let mut spec = SpecTable::default();
     let mut pending: VecDeque<(f64, CampaignEvent)> = VecDeque::new();
     let mut batch_wall = Instant::now();
@@ -745,603 +1463,296 @@ pub(crate) fn run_fault_campaign_impl(
         &mut pending,
         &mut queue,
         pipeline,
-        cfg,
         &trace,
-        &down,
         &mut spec,
-        &server,
+        &core,
         &mut batch_wall,
     ) {
-        let delta_h = (at_h - last_h).max(0.0);
-        server.play(delta_h * 3600.0);
-        last_h = at_h;
-
-        match event {
+        core.advance(at_h);
+        // Whether the event mutated configuration inputs: speculations
+        // computed before it can no longer be adopted.
+        let mutated = match event {
             CampaignEvent::Arrival(i) => {
-                report.events += 1;
-                let req = &trace[i];
-                report.arrivals += 1;
                 up.clear();
-                up.extend((0..cfg.devices).filter(|d| !down.contains(d)));
-                let client = up[(splitmix64(cfg.seed ^ i as u64) % up.len() as u64) as usize];
-                let (name, graph) = app_template(req.graph_index);
-                // Batched mode adopts a speculated pipeline outcome in
-                // this event's deterministic commit slot; with the
-                // table invalidated on every mutation, speculate +
-                // admit is exactly `start_session` decomposed, so both
-                // arms produce byte-identical logs and accounting.
-                let outcome = if pipeline.is_some() {
-                    let speculated =
-                        spec.take_or_speculate(&server, (req.graph_index, client), &graph);
-                    server.admit_speculated(
-                        || format!("{name}-{i}"),
-                        graph,
-                        QosVector::new(),
-                        DeviceId::from_index(client),
-                        speculated,
-                    )
-                } else {
-                    server.start_session(
-                        format!("{name}-{i}"),
-                        graph,
-                        QosVector::new(),
-                        DeviceId::from_index(client),
-                    )
+                up.extend(core.up_devices());
+                let a = Arrival {
+                    req: i,
+                    graph_index: trace[i].graph_index,
+                    client_local: client_draw(cfg.seed, i, &up),
+                    via: None,
                 };
-                match outcome {
-                    Ok(id) => {
-                        spec.invalidate();
-                        report.admitted += 1;
-                        active.insert(i, id);
-                        by_session.insert(id, i);
-                        log.push_args(
-                            at_h,
-                            format_args!(
-                                "arrive  req{i} {name} client=dev{client} -> admitted as {id}"
-                            ),
-                        );
-                    }
-                    Err(e) if matches!(e, ConfigureError::StaleView { .. }) => {
-                        // The stale-view admission path: the view said
-                        // yes, reality said no at activation. Nothing
-                        // was charged; the session parks (counted as
-                        // admitted — its fate resolves later) instead
-                        // of being denied outright.
-                        report.admitted += 1;
-                        report.parked += 1;
-                        let (_, graph) = app_template(req.graph_index);
-                        let id = server.park_arrival(
-                            format!("{name}-{i}"),
-                            graph,
-                            QosVector::new(),
-                            DeviceId::from_index(client),
-                            None,
-                            e,
-                        );
-                        active.insert(i, id);
-                        by_session.insert(id, i);
-                        log.push_args(
-                            at_h,
-                            format_args!(
-                                "arrive  req{i} {name} client=dev{client} -> parked on stale view as {id}"
-                            ),
-                        );
-                    }
+                let (_, graph) = app_template(a.graph_index);
+                // Batched mode adopts a speculated outcome in this
+                // event's deterministic commit slot; with the table
+                // invalidated on every mutation, that is exactly
+                // `start_session` decomposed.
+                let speculated = pipeline.map(|_| {
+                    let key = (a.graph_index, a.client_local);
+                    spec.take_or_speculate(&core.shard.server, key, &graph)
+                });
+                match core.arrival(a, graph, at_h, speculated) {
+                    Ok(charged) => charged,
                     Err(e) => {
-                        report.denied += 1;
-                        log.push_args(
-                            at_h,
-                            format_args!(
-                                "arrive  req{i} {name} client=dev{client} -> denied ({e})"
-                            ),
-                        );
+                        core.deny_arrival(a, at_h, &e);
+                        false
                     }
                 }
             }
-            CampaignEvent::Departure(i) => {
-                report.events += 1;
-                match active.remove(&i) {
-                    Some(id) => {
-                        by_session.remove(&id);
-                        let stopped = server.stop_session(id);
-                        debug_assert!(stopped.is_some(), "active map tracks live sessions");
-                        // The refund changed residual capacity.
-                        spec.invalidate();
-                        report.completed += 1;
-                        log.push_args(at_h, format_args!("depart  req{i} -> completed ({id})"));
-                    }
-                    None => {
-                        log.push_args(at_h, format_args!("depart  req{i} -> already gone"));
-                    }
-                }
-            }
+            CampaignEvent::Departure(i) => core.depart(i, at_h),
             CampaignEvent::Fault(j) => {
-                report.events += 1;
-                // Conservatively treat every fault as a mutation (even
-                // skipped ones — the check costs nothing).
-                spec.invalidate();
-                let fault = &schedule[j];
-                let line = apply_fault(
-                    &mut server,
-                    fault,
-                    cfg,
-                    &mut down,
-                    &mut det,
-                    &mut active,
-                    &mut by_session,
-                    &mut report,
-                );
-                log.push(at_h, &line);
+                core.fault(&schedule[j], at_h);
+                // Conservatively a mutation, even when skipped.
+                true
             }
             CampaignEvent::Heartbeat(d) => {
-                let lost =
-                    down.contains(&d) || det.partition_depth[d] > 0 || at_h < det.jam_until_h[d];
-                if !lost {
-                    if let Some(rec) = server.heartbeat(DeviceId::from_index(d), grace_ms) {
-                        // A heartbeat from a *suspected* device: the
-                        // suspicion was stale (heal or recovery) and is
-                        // withdrawn.
-                        spec.invalidate();
-                        report.reinstatements += 1;
-                        count_pass(&rec, &mut report);
-                        let tail = absorb_recovery(&rec, &mut active, &mut by_session, &mut report);
-                        log.push_args(
-                            at_h,
-                            format_args!("detect  reinstate dev{d} (lease renewed) -> {tail}"),
-                        );
-                    }
+                let beat = core.heartbeat(d, at_h);
+                if beat.is_some() {
                     queue.schedule(at_h + cfg.detection_grace_h, CampaignEvent::LeaseCheck);
                 }
+                beat == Some(true)
             }
-            CampaignEvent::LeaseCheck if at_h > hb_end_h + 1e-9 => {
-                // Detector decommissioned with the heartbeat stream; the
-                // final sweep below reconciles remaining ground truth.
-            }
-            CampaignEvent::LeaseCheck if last_sweep_h == Some(at_h) => {
-                // Hoisted: heartbeats land on shared period multiples,
-                // so their lease checks cluster at identical instants
-                // and pop consecutively (in-loop schedules always
-                // follow same-time setup events in seq order, and only
-                // lease checks are scheduled in-loop). The first check
-                // at this instant already swept *every* overdue lease
-                // and revoked it; nothing between two same-instant
-                // checks can create a new overdue lease, so the repeat
-                // sweep is provably empty and skipped — no lines, no
-                // counters, digests byte-identical to sweeping again.
-            }
-            CampaignEvent::LeaseCheck => {
-                // Anti-entropy: *every* overdue lease is swept, not just
-                // the one whose renewal scheduled this check.
-                last_sweep_h = Some(at_h);
-                let mut swept = false;
-                for (device, rec) in server.expire_overdue_leases() {
-                    swept = true;
-                    report.suspicions += 1;
-                    let ground_up = !down.contains(&device.index());
-                    if ground_up {
-                        report.false_suspected += 1;
-                    }
-                    count_pass(&rec, &mut report);
-                    let tail = absorb_recovery(&rec, &mut active, &mut by_session, &mut report);
-                    let tag = if ground_up { " (falsely)" } else { "" };
-                    log.push_args(
-                        at_h,
-                        format_args!(
-                            "detect  suspect dev{}{tag} (lease expired) -> {tail}",
-                            device.index()
-                        ),
-                    );
-                }
-                if swept {
-                    spec.invalidate();
-                }
-            }
-        }
-
-        // Drain any parked-session retries that became due as virtual
-        // time advanced (recovery passes drain their own; this catches
-        // time passing through arrivals/departures/switches).
-        let retries = server.process_retries();
-        if !retries.is_empty() {
-            spec.invalidate();
-            let tail = absorb_recovery(&retries, &mut active, &mut by_session, &mut report);
-            log.push_args(at_h, format_args!("retry   parked queue -> {tail}"));
-        }
-
-        iterations += 1;
-        if !iterations.is_multiple_of(stride) {
-            continue;
-        }
-        // Cloned lazily — only checked iterations pay for the violation
-        // context.
-        let event_line = log.lines().last().cloned().unwrap_or_default();
-        report.invariant_checks += 1;
-        let observed: BTreeSet<usize> = if imperfect {
-            server.suspected_devices().clone()
-        } else {
-            down.clone()
+            CampaignEvent::LeaseCheck => core.lease_check(at_h),
         };
-        if let Err(violation) = check_invariants(&server, &observed) {
-            return Err(InvariantViolation {
-                at_h_milli: (at_h * 1000.0).round() as u64,
-                event: event_line,
-                violation,
-            });
+        if mutated {
+            spec.invalidate();
         }
-        if imperfect && at_h <= hb_end_h + 1e-9 {
-            // Detector soundness after grace: once a device has been
-            // unreachable longer than grace + one heartbeat period, some
-            // lease check must have suspected it. Only enforceable while
-            // the heartbeat stream (and thus the detector) is running.
-            let lag = cfg.detection_grace_h + cfg.heartbeat_period_h + 1e-6;
-            for (&d, &since) in &det.unreachable_since {
-                if at_h > since + lag && !server.is_suspected(DeviceId::from_index(d)) {
-                    return Err(InvariantViolation {
-                        at_h_milli: (at_h * 1000.0).round() as u64,
-                        event: event_line,
-                        violation: format!(
-                            "detector unsound: dev{d} unreachable since t={since:.4}h \
-                             still unsuspected at t={at_h:.4}h (grace {:.4}h)",
-                            cfg.detection_grace_h
-                        ),
-                    });
-                }
-            }
+        if core.finish_event(at_h)? {
+            spec.invalidate();
         }
+        debug_assert!(
+            core.custody.is_empty(),
+            "only federated handoffs hold untracked sessions"
+        );
     }
+    core.finalize()?;
 
-    if imperfect {
-        // Anti-entropy finalize: any device still unreachable at the end
-        // of the horizon whose lease check has not fired yet is swept
-        // now, so the convergence drain below sees the true capacity.
-        for d in 0..cfg.devices {
-            let unreachable = down.contains(&d) || det.partition_depth[d] > 0;
-            if unreachable && !server.is_suspected(DeviceId::from_index(d)) {
-                report.suspicions += 1;
-                if !down.contains(&d) {
-                    report.false_suspected += 1;
-                }
-                let rec = server.suspect_many(&[DeviceId::from_index(d)]);
-                count_pass(&rec, &mut report);
-                let tail = absorb_recovery(&rec, &mut active, &mut by_session, &mut report);
-                log.push_args(
-                    last_h,
-                    format_args!("detect  suspect dev{d} (final sweep) -> {tail}"),
-                );
-            }
-        }
-        // Eventual completeness: pump the retry queue dry. Every parked
-        // session either re-admits (the schedule eventually healed) or
-        // exhausts its finite retry budget and drops witnessed — nothing
-        // stays parked forever.
-        while server.parked_count() > 0 {
-            let next_ms = server
-                .parked_sessions()
-                .map(|(_, p)| p.next_retry_ms)
-                .fold(f64::INFINITY, f64::min);
-            if next_ms > server.now_ms() {
-                server.play((next_ms - server.now_ms()) / 1000.0);
-            }
-            let rec = server.process_retries();
-            let drain_h = server.now_ms() / 3_600_000.0;
-            let tail = absorb_recovery(&rec, &mut active, &mut by_session, &mut report);
-            log.push_args(drain_h, format_args!("drain   parked queue -> {tail}"));
-            report.invariant_checks += 1;
-            let observed: BTreeSet<usize> = server.suspected_devices().clone();
-            if let Err(violation) = check_invariants(&server, &observed) {
-                return Err(InvariantViolation {
-                    at_h_milli: (drain_h * 1000.0).round() as u64,
-                    event: "drain   parked queue".to_owned(),
-                    violation,
-                });
-            }
-        }
-    }
-
-    report.live_at_end = server.session_count() as u32;
-    report.parked_at_end = server.parked_count() as u32;
-    report.stale_views = server.stale_view_count() as u32;
+    let report = core.shard.report;
     // Everything still live or parked at the horizon is neither
     // completed nor dropped; fates must balance exactly.
-    report.log_digest = log.digest();
     debug_assert!(report.session_fates_balance(), "fates balance: {report:?}");
     Ok(CampaignOutcome {
         report,
-        log,
-        stages: server.stage_times(),
-        pipeline: pipeline.map(|_| spec.stats.clone()),
+        log: core.log,
+        stages: core.shard.server.stage_times(),
+        pipeline: pipeline.map(|_| spec.stats),
     })
 }
 
-/// Applies one fault to the server, updating the bookkeeping and
-/// returning the log line describing what actually happened.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn apply_fault(
-    server: &mut DomainServer,
-    fault: &TimedFault,
-    cfg: &FaultCampaignConfig,
-    down: &mut BTreeSet<usize>,
-    det: &mut DetectorState,
-    active: &mut BTreeMap<usize, SessionId>,
-    by_session: &mut BTreeMap<SessionId, usize>,
-    report: &mut FaultReport,
-) -> String {
-    let imperfect = !cfg.perfect_detection();
-    match fault.kind {
+/// Applies one shard-local device fault: updates ground truth and the
+/// detector bookkeeping, runs the recovery pass, and absorbs it. Returns
+/// the transcript line describing what actually happened and the
+/// reservation custody the pass handed back — the same decision live
+/// and when the WAL replays the fault, since both read only the shard.
+pub(crate) fn apply_fault(shard: &mut Shard, fault: &TimedFault) -> (String, Vec<Custody>) {
+    let imperfect = !shard.cfg.perfect_detection();
+    let devices = shard.cfg.devices;
+    let mut custody = Vec::new();
+    let mut pass = |shard: &mut Shard, rec: RecoveryReport| {
+        count_pass(&rec, &mut shard.report);
+        shard.absorb(&rec, &mut custody).0
+    };
+    let line = match fault.kind {
         FaultKind::Crash { device } => {
             // The schedule's up/down state machine ran in generation
             // order; after time-sorting, a crash may arrive while the
             // device is already down or is the last survivor. Skip those
             // (logged), so the space never fully blacks out.
-            if down.contains(&device) {
-                return format!("fault   crash dev{device} -> skipped (already down)");
+            if shard.down.contains(&device) {
+                format!("fault   crash dev{device} -> skipped (already down)")
+            } else if shard.down.len() + 1 >= devices {
+                format!("fault   crash dev{device} -> skipped (last device up)")
+            } else {
+                shard.report.crashes += 1;
+                shard.down.insert(device);
+                if imperfect {
+                    // Ground truth only: the detector learns nothing
+                    // until the device's lease expires.
+                    shard
+                        .server
+                        .set_reachable(DeviceId::from_index(device), false);
+                    shard
+                        .det
+                        .unreachable_since
+                        .entry(device)
+                        .or_insert(fault.at_h);
+                    format!("fault   crash dev{device} -> undetected (awaiting lease expiry)")
+                } else {
+                    let rec = shard.server.handle_crash(DeviceId::from_index(device));
+                    format!("fault   crash dev{device} -> {}", pass(shard, rec))
+                }
             }
-            if down.len() + 1 >= cfg.devices {
-                return format!("fault   crash dev{device} -> skipped (last device up)");
-            }
-            report.crashes += 1;
-            down.insert(device);
-            if imperfect {
-                // Ground truth only: the detector learns nothing until
-                // the device's lease expires.
-                server.set_reachable(DeviceId::from_index(device), false);
-                det.unreachable_since.entry(device).or_insert(fault.at_h);
-                return format!("fault   crash dev{device} -> undetected (awaiting lease expiry)");
-            }
-            let rec = server.handle_crash(DeviceId::from_index(device));
-            count_pass(&rec, report);
-            let tail = absorb_recovery(&rec, active, by_session, report);
-            format!("fault   crash dev{device} -> {tail}")
         }
         FaultKind::CrashScope { first, count } => {
             // Same skip rules as single crashes, applied member-wise, and
             // the whole group shrinks (from the back) until a survivor
             // remains outside it.
             let mut members: Vec<usize> = (first..first + count)
-                .filter(|d| !down.contains(d))
+                .filter(|d| !shard.down.contains(d))
                 .collect();
-            while !members.is_empty() && down.len() + members.len() >= cfg.devices {
+            while !members.is_empty() && shard.down.len() + members.len() >= devices {
                 members.pop();
             }
-            if members.is_empty() {
-                return format!(
+            match members.last() {
+                None => format!(
                     "fault   crash-scope dev{first}+{count} -> skipped (no member can go down)"
-                );
-            }
-            report.crashes += members.len() as u32;
-            if members.len() >= 2 {
-                report.correlated_crashes += 1;
-            }
-            down.extend(members.iter().copied());
-            if imperfect {
-                for &d in &members {
-                    server.set_reachable(DeviceId::from_index(d), false);
-                    det.unreachable_since.entry(d).or_insert(fault.at_h);
+                ),
+                Some(&last) => {
+                    shard.report.crashes += members.len() as u32;
+                    if members.len() >= 2 {
+                        shard.report.correlated_crashes += 1;
+                    }
+                    shard.down.extend(members.iter().copied());
+                    let tail = if imperfect {
+                        for &d in &members {
+                            shard.server.set_reachable(DeviceId::from_index(d), false);
+                            shard.det.unreachable_since.entry(d).or_insert(fault.at_h);
+                        }
+                        "undetected (awaiting lease expiry)".to_owned()
+                    } else {
+                        let ids: Vec<DeviceId> =
+                            members.iter().map(|&d| DeviceId::from_index(d)).collect();
+                        let rec = shard.server.handle_crash_many(&ids);
+                        pass(shard, rec)
+                    };
+                    format!(
+                        "fault   crash-scope dev{first}..dev{last} ({} members) -> {tail}",
+                        members.len()
+                    )
                 }
-                let last = members.last().expect("non-empty");
-                return format!(
-                    "fault   crash-scope dev{first}..dev{last} ({} members) -> undetected (awaiting lease expiry)",
-                    members.len()
-                );
             }
-            let ids: Vec<DeviceId> = members.iter().map(|&d| DeviceId::from_index(d)).collect();
-            let rec = server.handle_crash_many(&ids);
-            count_pass(&rec, report);
-            let tail = absorb_recovery(&rec, active, by_session, report);
-            let last = members.last().expect("non-empty");
-            format!(
-                "fault   crash-scope dev{first}..dev{last} ({} members) -> {tail}",
-                members.len()
-            )
         }
         FaultKind::Recover { device } => {
-            if !down.contains(&device) {
-                return format!("fault   recover dev{device} -> skipped (already up)");
-            }
-            report.device_recoveries += 1;
-            down.remove(&device);
-            if imperfect {
-                // Ground truth restored; if the crash was never even
-                // suspected (shorter than the grace window) the blip is
-                // tolerated invisibly, otherwise the next heartbeat
-                // renews the lease and reinstates the device.
-                if det.partition_depth[device] == 0 {
-                    server.set_reachable(DeviceId::from_index(device), true);
-                    det.unreachable_since.remove(&device);
+            if !shard.down.contains(&device) {
+                format!("fault   recover dev{device} -> skipped (already up)")
+            } else {
+                shard.report.device_recoveries += 1;
+                shard.down.remove(&device);
+                if imperfect {
+                    // Ground truth restored; if the crash was never even
+                    // suspected (shorter than the grace window) the blip
+                    // is tolerated invisibly, otherwise the next
+                    // heartbeat renews the lease and reinstates the
+                    // device.
+                    if shard.det.partition_depth[device] == 0 {
+                        shard
+                            .server
+                            .set_reachable(DeviceId::from_index(device), true);
+                        shard.det.unreachable_since.remove(&device);
+                    }
+                    format!("fault   recover dev{device} -> reachable (awaiting heartbeat)")
+                } else {
+                    let rec = shard.server.recover_device(DeviceId::from_index(device));
+                    format!("fault   recover dev{device} -> {}", pass(shard, rec))
                 }
-                return format!("fault   recover dev{device} -> reachable (awaiting heartbeat)");
             }
-            let rec = server.recover_device(DeviceId::from_index(device));
-            count_pass(&rec, report);
-            let tail = absorb_recovery(&rec, active, by_session, report);
-            format!("fault   recover dev{device} -> {tail}")
         }
         FaultKind::Fluctuate { device, factor } => {
-            if down.contains(&device) {
-                return format!("fault   fluctuate dev{device} -> skipped (down)");
-            }
-            if server.is_suspected(DeviceId::from_index(device)) {
+            if shard.down.contains(&device) {
+                format!("fault   fluctuate dev{device} -> skipped (down)")
+            } else if shard.server.is_suspected(DeviceId::from_index(device)) {
                 // A suspected device's capacity is held at zero by the
                 // detector; applying the fluctuation would overwrite it.
                 // Physically the fluctuation happens on the (healthy)
                 // device, but the domain server cannot observe it.
-                return format!("fault   fluctuate dev{device} -> skipped (suspected)");
+                format!("fault   fluctuate dev{device} -> skipped (suspected)")
+            } else {
+                shard.report.fluctuations += 1;
+                let pristine = shard
+                    .server
+                    .pristine()
+                    .device(device)
+                    .expect("schedule device indexes the space")
+                    .availability()
+                    .clone();
+                let scaled = pristine
+                    .scaled_by(&vec![factor; pristine.dim()])
+                    .expect("factor vector matches dimension");
+                let rec = shard.server.fluctuate(DeviceId::from_index(device), scaled);
+                format!(
+                    "fault   fluctuate dev{device} x{factor:.3} -> {}",
+                    pass(shard, rec)
+                )
             }
-            report.fluctuations += 1;
-            let pristine = server
-                .pristine()
-                .device(device)
-                .expect("schedule device indexes the space")
-                .availability()
-                .clone();
-            let scaled = pristine
-                .scaled_by(&vec![factor; pristine.dim()])
-                .expect("factor vector matches dimension");
-            let rec = server.fluctuate(DeviceId::from_index(device), scaled);
-            count_pass(&rec, report);
-            let tail = absorb_recovery(&rec, active, by_session, report);
-            format!("fault   fluctuate dev{device} x{factor:.3} -> {tail}")
         }
         FaultKind::DegradeLink { a, b, factor } => {
-            if down.contains(&a) || down.contains(&b) {
-                return format!("fault   degrade-link dev{a}-dev{b} -> skipped (endpoint down)");
-            }
-            report.link_fluctuations += 1;
-            let mbps = server.pristine().bandwidth().get(a, b) * factor;
-            let rec = server.degrade_link(DeviceId::from_index(a), DeviceId::from_index(b), mbps);
-            count_pass(&rec, report);
-            let tail = absorb_recovery(&rec, active, by_session, report);
-            format!("fault   degrade-link dev{a}-dev{b} x{factor:.3} -> {tail}")
-        }
-        FaultKind::SwitchDevice { pick, to } => {
-            // Parked sessions stay tracked in `by_session` but have no
-            // live placement; portal switches only target live ones.
-            let ids: Vec<SessionId> = by_session
-                .keys()
-                .copied()
-                .filter(|&id| server.session(id).is_some())
-                .collect();
-            if ids.is_empty() {
-                return "fault   switch-device -> skipped (no live session)".to_owned();
-            }
-            let id = ids[(pick % ids.len() as u64) as usize];
-            report.switches += 1;
-            match server.switch_device(id, DeviceId::from_index(to)) {
-                Ok(plan) => format!(
-                    "fault   switch-device {id} -> dev{to} (resume at {:.4}s)",
-                    plan.resume_position_s()
-                ),
-                Err(e) => {
-                    report.switch_failures += 1;
-                    format!("fault   switch-device {id} -> dev{to} failed ({e}), old config kept")
-                }
-            }
-        }
-        FaultKind::MoveUser { pick, to } => {
-            let ids: Vec<SessionId> = by_session
-                .keys()
-                .copied()
-                .filter(|&id| server.session(id).is_some())
-                .collect();
-            if ids.is_empty() {
-                return "fault   move-user -> skipped (no live session)".to_owned();
-            }
-            let id = ids[(pick % ids.len() as u64) as usize];
-            report.moves += 1;
-            match server.move_user(id, None, DeviceId::from_index(to)) {
-                Ok(plan) => format!(
-                    "fault   move-user {id} -> dev{to} (resume at {:.4}s)",
-                    plan.resume_position_s()
-                ),
-                Err(e) => {
-                    report.move_failures += 1;
-                    format!("fault   move-user {id} -> dev{to} failed ({e}), old config kept")
-                }
+            if shard.down.contains(&a) || shard.down.contains(&b) {
+                format!("fault   degrade-link dev{a}-dev{b} -> skipped (endpoint down)")
+            } else {
+                shard.report.link_fluctuations += 1;
+                let mbps = shard.server.pristine().bandwidth().get(a, b) * factor;
+                let rec = shard.server.degrade_link(
+                    DeviceId::from_index(a),
+                    DeviceId::from_index(b),
+                    mbps,
+                );
+                format!(
+                    "fault   degrade-link dev{a}-dev{b} x{factor:.3} -> {}",
+                    pass(shard, rec)
+                )
             }
         }
         FaultKind::Partition { first, count } => {
             if !imperfect {
-                return format!(
-                    "fault   partition dev{first}+{count} -> skipped (perfect detection)"
-                );
-            }
-            report.partitions += 1;
-            let hi = (first + count).min(cfg.devices);
-            for d in first..hi {
-                det.partition_depth[d] += 1;
-                if det.partition_depth[d] == 1 && !down.contains(&d) {
-                    server.set_reachable(DeviceId::from_index(d), false);
-                    det.unreachable_since.entry(d).or_insert(fault.at_h);
+                format!("fault   partition dev{first}+{count} -> skipped (perfect detection)")
+            } else {
+                shard.report.partitions += 1;
+                let hi = (first + count).min(devices);
+                for d in first..hi {
+                    shard.det.partition_depth[d] += 1;
+                    if shard.det.partition_depth[d] == 1 && !shard.down.contains(&d) {
+                        shard.server.set_reachable(DeviceId::from_index(d), false);
+                        shard.det.unreachable_since.entry(d).or_insert(fault.at_h);
+                    }
                 }
+                format!(
+                    "fault   partition dev{first}+{} -> cut off from the domain server",
+                    hi - first
+                )
             }
-            format!(
-                "fault   partition dev{first}+{} -> cut off from the domain server",
-                hi - first
-            )
         }
         FaultKind::Heal { first, count } => {
             if !imperfect {
-                return format!("fault   heal dev{first}+{count} -> skipped (perfect detection)");
-            }
-            report.heals += 1;
-            let hi = (first + count).min(cfg.devices);
-            for d in first..hi {
-                det.partition_depth[d] = det.partition_depth[d].saturating_sub(1);
-                if det.partition_depth[d] == 0 && !down.contains(&d) {
-                    server.set_reachable(DeviceId::from_index(d), true);
-                    det.unreachable_since.remove(&d);
+                format!("fault   heal dev{first}+{count} -> skipped (perfect detection)")
+            } else {
+                shard.report.heals += 1;
+                let hi = (first + count).min(devices);
+                for d in first..hi {
+                    shard.det.partition_depth[d] = shard.det.partition_depth[d].saturating_sub(1);
+                    if shard.det.partition_depth[d] == 0 && !shard.down.contains(&d) {
+                        shard.server.set_reachable(DeviceId::from_index(d), true);
+                        shard.det.unreachable_since.remove(&d);
+                    }
                 }
+                format!(
+                    "fault   heal dev{first}+{} -> rejoined (awaiting heartbeat)",
+                    hi - first
+                )
             }
-            format!(
-                "fault   heal dev{first}+{} -> rejoined (awaiting heartbeat)",
-                hi - first
-            )
         }
         FaultKind::JamHeartbeats { device, until_h } => {
             if !imperfect {
-                return format!(
-                    "fault   jam-heartbeats dev{device} -> skipped (perfect detection)"
-                );
+                format!("fault   jam-heartbeats dev{device} -> skipped (perfect detection)")
+            } else {
+                shard.report.heartbeat_jams += 1;
+                shard.det.jam_until_h[device] = shard.det.jam_until_h[device].max(until_h);
+                format!("fault   jam-heartbeats dev{device} until t={until_h:010.4}h")
             }
-            report.heartbeat_jams += 1;
-            det.jam_until_h[device] = det.jam_until_h[device].max(until_h);
-            format!("fault   jam-heartbeats dev{device} until t={until_h:010.4}h")
+        }
+        FaultKind::MoveUser { .. } | FaultKind::SwitchDevice { .. } => {
+            unreachable!("moves and switches run through ShardCore::relocate")
         }
         // Domain-server crashes only exist at the federation level; the
-        // serial harness runs the one immortal server these events
-        // cannot reach (the federated engine intercepts them before
-        // this dispatch).
+        // serial loop runs the one immortal server these events cannot
+        // reach (the federated engine intercepts them before this
+        // dispatch).
         FaultKind::ShardCrash { shard } => {
             format!("fault   shard-crash shard{shard} -> skipped (serial harness)")
         }
         FaultKind::ShardRestart { shard } => {
             format!("fault   shard-restart shard{shard} -> skipped (serial harness)")
         }
-    }
-}
-
-/// Folds a [`RecoveryReport`] into the campaign bookkeeping: successful
-/// re-placements (full-quality or degraded) count as replacements,
-/// parked sessions stay tracked (a later departure reaches them through
-/// `stop_session`), dropped ones leave the active maps. Every drop must
-/// carry its witnessing error (asserted here).
-pub(crate) fn absorb_recovery(
-    rec: &RecoveryReport,
-    active: &mut BTreeMap<usize, SessionId>,
-    by_session: &mut BTreeMap<SessionId, usize>,
-    report: &mut FaultReport,
-) -> String {
-    assert_eq!(
-        rec.dropped.len(),
-        rec.drop_errors.len(),
-        "every drop carries the error witnessing unplaceability"
-    );
-    for (id, (witness_id, _)) in rec.dropped.iter().zip(&rec.drop_errors) {
-        assert_eq!(id, witness_id, "drop witnesses line up");
-        let req = by_session
-            .remove(id)
-            .expect("dropped sessions were tracked");
-        active.remove(&req);
-    }
-    report.replacements += rec.replacements() as u32;
-    report.degraded += rec.degraded.len() as u32;
-    report.parked += rec.parked.len() as u32;
-    report.readmitted += rec.readmitted.len() as u32;
-    report.dropped += rec.dropped.len() as u32;
-    let mut tail = format!(
-        "re-placed {} ({} degraded), parked {}, readmitted {}, dropped {}; affected {}/{}",
-        rec.replacements(),
-        rec.degraded.len(),
-        rec.parked.len(),
-        rec.readmitted.len(),
-        rec.dropped.len(),
-        rec.affected,
-        rec.considered,
-    );
-    for (id, err) in &rec.drop_errors {
-        let _ = write!(tail, "; {id} unplaceable ({err})");
-    }
-    tail
+    };
+    (line, custody)
 }
 
 /// Counts one recovery pass's O(affected)-vs-O(considered) work into the

@@ -10,6 +10,18 @@
 //! [`Transport`] (the in-process [`ChannelTransport`] here; a socket
 //! transport can slot in later without touching the protocol).
 //!
+//! ## One shard core per shard
+//!
+//! Each shard is the same shard core the serial loop drives (see
+//! [`crate::faults`]): its server state, write-ahead log, and
+//! transcript in one struct, with one method per per-shard arm. This
+//! engine routes events to those arms and adds only what sharding
+//! needs — routing, cross-domain forwarding, two-phase handoffs,
+//! reliable transport, turns, and crash recovery. When a shard's
+//! recovery pass sweeps up a handoff reservation, the core's absorb
+//! hands the session back as custody and the engine re-tags the
+//! handoff; the shard never counts a session it does not own yet.
+//!
 //! ## Cross-domain discovery
 //!
 //! An arrival is routed to the shard owning its client device. When
@@ -79,18 +91,13 @@
 //! exact log bytes — of the perfect run, while the zero-loss path
 //! stays byte-identical to the bare [`ChannelTransport`].
 
-use crate::checkpoint::HandoffPlan;
-use crate::domain_server::{DomainServer, SessionId};
-use crate::durability::{
-    assert_recovered_equal, exec_heartbeat, exec_park, exec_relocate, exec_start, exec_stop,
-    DurabilityConfig, ServerCall, ShardWal, WalRecord,
-};
+use crate::domain_server::SessionId;
+use crate::durability::{assert_recovered_equal, DurabilityConfig};
 use crate::faults::{
-    app_template, apply_fault, build_space, campaign_schedule, check_invariants, count_pass,
-    splitmix64, DetectorState, EventLog, FaultCampaignConfig, InvariantViolation,
+    app_template, build_space, campaign_schedule, client_draw, pick_live, template_name, Arrival,
+    Custody, EventLog, FaultCampaignConfig, InvariantViolation, Shard, ShardCore, TIME_EPS,
 };
 use crate::profiler::StageTimes;
-use crate::recovery::RecoveryReport;
 use crate::retry_queue::RetryPolicy;
 use crate::transport::{
     ChannelTransport, Envelope, LossConfig, LossStats, LossyTransport, Transport,
@@ -99,20 +106,15 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt::Write as _;
 use ubiqos::fault_report::fnv1a;
 use ubiqos::{ConfigureError, FaultReport};
-use ubiqos_composition::DegradationLadder;
 use ubiqos_discovery::{DiscoveryQuery, DomainId, ServiceRegistry};
-use ubiqos_graph::{AbstractServiceGraph, DeviceId};
+use ubiqos_graph::AbstractServiceGraph;
 use ubiqos_model::QosVector;
 use ubiqos_sim::{
     merge_schedules, EventQueue, FaultKind, MobilityWaveConfig, Request, ShardCrashPlan,
     TimedFault, WorkloadConfig,
 };
-
-/// Slack for "has this instant passed" comparisons on event times.
-const TIME_EPS: f64 = 1e-9;
 
 /// Hard ceiling on a receiver's in-order release buffer. The real
 /// bound is the per-link cumulative-ack watermark asserted at every
@@ -140,7 +142,7 @@ pub struct FederationConfig {
     /// The underlying fault-campaign config. `base.devices` is the
     /// *global* device count, split contiguously across the shards;
     /// workload, fault schedule, and client draws all derive from
-    /// `base.seed` exactly as in the serial harness.
+    /// `base.seed` exactly as in the serial loop.
     pub base: FaultCampaignConfig,
     /// Number of `DomainServer` shards (≥ 1; every shard needs ≥ 2
     /// devices). `1` reproduces the serial reference byte-identically.
@@ -501,7 +503,7 @@ impl FederationOutcome {
 // ---------------------------------------------------------------------
 
 /// One event in the federated timeline. `Arrival`/`Departure`/`Fault`/
-/// `Heartbeat`/`LeaseCheck` are scheduled in the serial harness's exact
+/// `Heartbeat`/`LeaseCheck` are scheduled in the serial loop's exact
 /// setup order (so the 1-shard pop sequence is identical); `Decide`,
 /// `Expire`, and `Deliver` are federation overlays that only exist at
 /// `shards > 1`.
@@ -579,10 +581,8 @@ struct LinkState {
 struct DiscoveryState {
     /// The shard resolving the arrival.
     origin: usize,
-    /// The arrival's application template.
-    graph_index: usize,
-    /// Global client device id (transcript context).
-    client: usize,
+    /// The arrival as the origin shard sees it.
+    arrival: Arrival,
     /// The local composition error, replayed verbatim in the denial
     /// line if every candidate declines.
     err: String,
@@ -634,52 +634,29 @@ struct Handoff {
     departed: bool,
 }
 
-/// Where a request's session currently lives.
+/// Which shard a request's departure routes to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Loc {
-    /// Owned by `shard` as session `id` (live or parked there).
-    At { shard: usize, id: SessionId },
+    /// The shard that holds the session (live or parked) or resolved
+    /// the request (completed, dropped, or denied it).
+    At(usize),
     /// Mid-handoff: released by the source, not yet landed.
-    InFlight { hid: u64 },
-    /// Resolved (completed, dropped, or denied) on `shard`.
-    Gone { shard: usize },
-}
-
-/// One shard: a full serial-harness state bundle around its own
-/// `DomainServer`. Fields are crate-visible so the durability module
-/// can snapshot, replay, and fingerprint them.
-pub(crate) struct Shard {
-    pub(crate) server: DomainServer,
-    /// The base config with `devices` rewritten to this shard's size.
-    pub(crate) cfg: FaultCampaignConfig,
-    pub(crate) report: FaultReport,
-    pub(crate) down: BTreeSet<usize>,
-    pub(crate) det: DetectorState,
-    pub(crate) active: BTreeMap<usize, SessionId>,
-    pub(crate) by_session: BTreeMap<SessionId, usize>,
-    pub(crate) last_h: f64,
-    pub(crate) iterations: u64,
-    pub(crate) last_sweep_h: Option<f64>,
+    InFlight(u64),
 }
 
 struct Engine<'a> {
     cfg: &'a FederationConfig,
     schedule: Vec<TimedFault>,
     trace: Vec<Request>,
-    shards: Vec<Shard>,
-    /// Per-shard transcripts. Output, not shard state: like the
-    /// directory and the link state, they live on the engine and
-    /// survive a shard crash untouched.
-    logs: Vec<EventLog>,
+    /// One shard core per shard. Its transcript is output, not shard
+    /// state: like the directory and the link state, it survives a
+    /// shard crash untouched.
+    cores: Vec<ShardCore>,
     /// Global index of each shard's first device.
     offsets: Vec<usize>,
-    sizes: Vec<usize>,
     /// Per shard: the other shards in domain-tree resolution order.
     candidates: Vec<Vec<usize>>,
     specialized: bool,
-    imperfect: bool,
-    grace_ms: f64,
-    hb_end_h: f64,
     queue: EventQueue<FedEvent>,
     /// Net-layer queue: physical arrivals and retransmission timers.
     netq: EventQueue<NetEvent>,
@@ -717,8 +694,6 @@ struct Engine<'a> {
     /// Request index → current session location.
     directory: BTreeMap<usize, Loc>,
     stats: FederationStats,
-    /// Per-shard write-ahead logs (inert when durability is disabled).
-    wals: Vec<ShardWal>,
     /// Precomputed `(shard, crash_h, restart_h)` outage windows from
     /// the schedule's `ShardCrash`/`ShardRestart` pairs. During a
     /// window the shard's NIC is dead: physical copies transmitted by
@@ -828,25 +803,25 @@ impl<'a> Engine<'a> {
         }
         let specialized = n > 1 && cfg.specialize_registry;
 
-        let mut shards = Vec::with_capacity(n);
+        let mut cores = Vec::with_capacity(n);
         let mut candidates: Vec<Vec<usize>> = Vec::with_capacity(n);
         for (s, &size) in sizes.iter().enumerate() {
             let mut server = build_space(size);
             server.set_shard_index(s);
-            let mut local = base.clone();
-            local.devices = size;
-            if !local.staged_recovery {
-                server.set_ladder(DegradationLadder::strict());
-                server.set_retry_policy(RetryPolicy::strict());
-            }
-            server.set_config_cache(local.config_cache);
-            server.set_placement_strategy(local.placement);
-            let shard_domains = build_domain_tree(server.registry_mut(), n);
+            let mut shard = Shard::new(
+                server,
+                FaultCampaignConfig {
+                    devices: size,
+                    ..base.clone()
+                },
+            );
+            let reg = shard.server.registry_mut();
+            let shard_domains = build_domain_tree(reg, n);
             if candidates.is_empty() {
                 // Same tree in every registry — compute the resolution
                 // orders once, from the first.
                 for (me, &dom) in shard_domains.iter().enumerate() {
-                    let order = server.registry().resolution_order(dom);
+                    let order = reg.resolution_order(dom);
                     candidates.push(
                         order
                             .iter()
@@ -857,46 +832,20 @@ impl<'a> Engine<'a> {
                 }
             }
             if specialized && s % 2 == 1 {
-                server.registry_mut().unregister("mpeg-source@space");
+                reg.unregister("mpeg-source@space");
             }
-            shards.push(Shard {
-                server,
-                report: FaultReport {
-                    seed: base.seed,
-                    ..FaultReport::default()
-                },
-                down: BTreeSet::new(),
-                det: DetectorState::new(size),
-                active: BTreeMap::new(),
-                by_session: BTreeMap::new(),
-                last_h: 0.0,
-                iterations: 0,
-                last_sweep_h: None,
-                cfg: local,
-            });
+            // The initial checkpoint (virtual t=0) is taken here.
+            cores.push(ShardCore::new(shard, offsets[s], &cfg.durability));
         }
 
         let workload = WorkloadConfig::overload(base.requests, base.horizon_h);
         let mut rng = StdRng::seed_from_u64(base.seed);
         let trace = workload.generate(&mut rng);
 
-        let imperfect = !base.perfect_detection();
-        let grace_ms = base.detection_grace_h * 3_600_000.0;
-        let hb_steps = if imperfect {
-            assert!(
-                base.heartbeat_period_h > 0.0,
-                "imperfect detection needs a positive heartbeat period"
-            );
-            (base.horizon_h / base.heartbeat_period_h).floor() as usize
-        } else {
-            0
-        };
-        let hb_end_h = hb_steps as f64 * base.heartbeat_period_h;
-
         // Exact serial setup order: arrival+departure per request,
         // faults per schedule index, heartbeats device-major over the
         // *global* device index. At one shard this makes the DES pop
-        // sequence identical to the reference.
+        // sequence identical to the serial loop's.
         let mut queue: EventQueue<FedEvent> = EventQueue::new();
         for (i, r) in trace.iter().enumerate() {
             queue.schedule(r.arrival_h, FedEvent::Arrival(i));
@@ -905,24 +854,20 @@ impl<'a> Engine<'a> {
         for (j, f) in schedule.iter().enumerate() {
             queue.schedule(f.at_h, FedEvent::Fault(j));
         }
-        if imperfect {
+        if !base.perfect_detection() {
             for d in 0..base.devices {
-                for k in 0..=hb_steps {
+                for k in 0..=base.heartbeat_steps() {
                     queue.schedule(k as f64 * base.heartbeat_period_h, FedEvent::Heartbeat(d));
                 }
             }
         }
 
         let stats = FederationStats::new(n);
-        // Initial checkpoints (virtual t=0) and the crash outage
-        // windows. The schedule is the source of truth for windows —
-        // explicitly supplied schedules work exactly like plan-derived
-        // ones. A crash without a later matching restart would never
-        // let its eaten payloads drain, so it is rejected up front.
-        let wals: Vec<ShardWal> = shards
-            .iter()
-            .map(|sh| ShardWal::new(&cfg.durability, sh))
-            .collect();
+        // The crash outage windows. The schedule is the source of truth
+        // for windows — explicitly supplied schedules work exactly like
+        // plan-derived ones. A crash without a later matching restart
+        // would never let its eaten payloads drain, so it is rejected up
+        // front.
         let mut crash_windows: Vec<(usize, f64, f64)> = Vec::new();
         for (j, f) in schedule.iter().enumerate() {
             if let FaultKind::ShardCrash { shard } = f.kind {
@@ -944,15 +889,10 @@ impl<'a> Engine<'a> {
             cfg,
             schedule,
             trace,
-            shards,
-            logs: vec![EventLog::default(); n],
+            cores,
             offsets,
-            sizes,
             candidates,
             specialized,
-            imperfect,
-            grace_ms,
-            hb_end_h,
             queue,
             netq: EventQueue::new(),
             transport,
@@ -971,7 +911,6 @@ impl<'a> Engine<'a> {
             res_index: BTreeMap::new(),
             directory: BTreeMap::new(),
             stats,
-            wals,
             crash_windows,
         }
     }
@@ -983,18 +922,6 @@ impl<'a> Engine<'a> {
             .any(|&(cs, from, to)| cs == s && t >= from && t < to)
     }
 
-    /// Journals an event-boundary `Mark` for shard `s`: the full
-    /// counter report plus the epilogue cursors, so replay lands
-    /// exactly on the current aggregate state.
-    fn wal_mark(&mut self, s: usize) {
-        let shard = &self.shards[s];
-        self.wals[s].push(|| WalRecord::Mark {
-            report: Box::new(shard.report.clone()),
-            iterations: shard.iterations,
-            last_sweep_h: shard.last_sweep_h,
-        });
-    }
-
     /// The shard owning global device `g`.
     fn owner(&self, g: usize) -> usize {
         debug_assert!(g < self.cfg.base.devices, "global device in range");
@@ -1004,252 +931,38 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Advances shard `s`'s virtual clock to `at_h` (monotone, exactly
-    /// the serial `play` step). Journaled before the clock moves.
-    fn advance(&mut self, s: usize, at_h: f64) {
-        self.wals[s].push(|| WalRecord::Advance { at_h });
-        let shard = &mut self.shards[s];
-        let delta_h = (at_h - shard.last_h).max(0.0);
-        shard.server.play(delta_h * 3600.0);
-        shard.last_h = at_h;
+    /// Advances shard `s`'s clock to `at_h`, marks it touched by the
+    /// open turn, and hands back its core.
+    fn touch(&mut self, s: usize, at_h: f64, touched: &mut BTreeSet<usize>) -> &mut ShardCore {
+        touched.insert(s);
+        let core = &mut self.cores[s];
+        core.advance(at_h);
+        core
     }
 
-    /// Appends one line to shard `s`'s log (unjournaled: the log is
-    /// engine-level output, not recoverable shard state).
-    fn slog(&mut self, s: usize, at_h: f64, line: &str) {
-        self.logs[s].push(at_h, line);
+    /// Re-tags the handoffs whose reservations shard `s`'s last arm
+    /// swept up: the absorb hands back recovered sessions the shard
+    /// does not track, and every one of them is a reservation.
+    fn retag(&mut self, s: usize) {
+        for custody in std::mem::take(&mut self.cores[s].custody) {
+            let (hid, reservation) = match custody {
+                Custody::Dropped(id) => (self.res_index.remove(&(s, id.raw())), Reservation::Dead),
+                Custody::Parked(id) => (
+                    self.res_index.get(&(s, id.raw())).copied(),
+                    Reservation::Parked(id.raw()),
+                ),
+                Custody::Readmitted(id) => (
+                    self.res_index.get(&(s, id.raw())).copied(),
+                    Reservation::Live(id.raw()),
+                ),
+            };
+            let hid = hid.expect("an untracked recovered session is a reservation");
+            self.handoffs
+                .get_mut(&hid)
+                .expect("indexed handoff exists")
+                .reservation = reservation;
+        }
     }
-
-    /// Journaled `start_session` on shard `s`. This helper and the
-    /// `call_*` siblings below are the only way an engine handler
-    /// mutates a shard's server: each journals its [`ServerCall`] (the
-    /// WAL alone decides whether the record is built) and makes the
-    /// call through the per-kind `exec_*` code replay uses.
-    fn call_start(
-        &mut self,
-        s: usize,
-        name: String,
-        graph: AbstractServiceGraph,
-        qos: QosVector,
-        client_local: usize,
-    ) -> Result<SessionId, ConfigureError> {
-        self.wals[s].push(|| {
-            WalRecord::Call(ServerCall::Start {
-                name: name.clone(),
-                graph: graph.clone(),
-                qos: qos.clone(),
-                client_local,
-            })
-        });
-        exec_start(&mut self.shards[s].server, name, graph, qos, client_local)
-    }
-
-    /// Journaled `park_arrival` on shard `s`.
-    fn call_park(
-        &mut self,
-        s: usize,
-        name: String,
-        graph: AbstractServiceGraph,
-        qos: QosVector,
-        client_local: usize,
-        err: ConfigureError,
-    ) -> SessionId {
-        self.wals[s].push(|| {
-            WalRecord::Call(ServerCall::Park {
-                name: name.clone(),
-                graph: graph.clone(),
-                qos: qos.clone(),
-                client_local,
-                err: err.clone(),
-            })
-        });
-        exec_park(
-            &mut self.shards[s].server,
-            name,
-            graph,
-            qos,
-            client_local,
-            err,
-        )
-    }
-
-    /// Journaled `stop_session` on shard `s` of a session the engine
-    /// holds there (live or parked): a departure, refund, or release.
-    fn call_stop(&mut self, s: usize, sid: SessionId) {
-        self.wals[s].push(|| WalRecord::Call(ServerCall::Stop { sid: sid.raw() }));
-        let stopped = exec_stop(&mut self.shards[s].server, sid.raw());
-        debug_assert!(stopped.is_some(), "a journaled stop targets a held session");
-    }
-
-    /// Journaled `move_user` (`is_move`) or `switch_device` on shard `s`.
-    fn call_relocate(
-        &mut self,
-        s: usize,
-        sid: SessionId,
-        to_local: usize,
-        is_move: bool,
-    ) -> Result<HandoffPlan, ConfigureError> {
-        self.wals[s].push(|| {
-            let sid = sid.raw();
-            WalRecord::Call(if is_move {
-                ServerCall::Move { sid, to_local }
-            } else {
-                ServerCall::Switch { sid, to_local }
-            })
-        });
-        exec_relocate(&mut self.shards[s].server, sid.raw(), to_local, is_move)
-    }
-
-    /// Journaled `heartbeat` from shard-local device `d`, recorded even
-    /// when it reinstates nothing: the call renews the device lease
-    /// inside the server, and replay must renew it too or a later sweep
-    /// would diverge. The record follows the call because it carries
-    /// the session ids absorbing the reinstatement pass untracked; that
-    /// pass and its rendered tail are returned.
-    fn call_heartbeat(&mut self, s: usize, d: usize) -> Option<(RecoveryReport, String)> {
-        let rec = exec_heartbeat(&mut self.shards[s].server, d, self.grace_ms);
-        let mut removed = Vec::new();
-        let reinstated = rec.map(|rec| {
-            let (tail, ids) = self.absorb(s, &rec);
-            removed = ids;
-            (rec, tail)
-        });
-        self.wals[s].push(|| WalRecord::Call(ServerCall::Heartbeat { device: d, removed }));
-        reinstated
-    }
-
-    /// Journaled anti-entropy sweep on shard `s`: every suspicion pass
-    /// is absorbed, then one record covers the sweep — even an empty
-    /// one, since the sweep advances detector bookkeeping inside the
-    /// server. Returns each pass with its rendered tail, in sweep
-    /// order.
-    fn call_expire_leases(&mut self, s: usize) -> Vec<(DeviceId, RecoveryReport, String)> {
-        let mut removed = Vec::new();
-        let passes = self.shards[s]
-            .server
-            .expire_overdue_leases()
-            .into_iter()
-            .map(|(device, rec)| {
-                let (tail, ids) = self.absorb(s, &rec);
-                removed.push(ids);
-                (device, rec, tail)
-            })
-            .collect();
-        self.wals[s].push(|| WalRecord::Call(ServerCall::ExpireLeases { removed }));
-        passes
-    }
-
-    /// Journaled retry drain on shard `s` — journaled even when it
-    /// moved nothing, since retry backoff bookkeeping inside the server
-    /// advances on every call. Returns the rendered tail when sessions
-    /// moved.
-    fn call_retries(&mut self, s: usize) -> Option<String> {
-        let retries = self.shards[s].server.process_retries();
-        let mut removed = Vec::new();
-        let tail = (!retries.is_empty()).then(|| {
-            let (tail, ids) = self.absorb(s, &retries);
-            removed = ids;
-            tail
-        });
-        self.wals[s].push(|| WalRecord::Call(ServerCall::Retries { removed }));
-        tail
-    }
-
-    /// One journaled admission attempt for request `req` on shard `s`:
-    /// `start_session`, falling back to `park_arrival` when the start
-    /// fails on a stale view — or on any error under `park_any`. The
-    /// resulting session is tracked for `req` and the directory points
-    /// at it; a refusal touches nothing. `session` builds the (name,
-    /// graph, QoS) each call takes. Returns the session id and whether
-    /// it was parked; counters and transcript lines stay with the
-    /// caller.
-    fn admit(
-        &mut self,
-        s: usize,
-        req: usize,
-        client_local: usize,
-        park_any: bool,
-        session: impl Fn() -> (String, AbstractServiceGraph, QosVector),
-    ) -> Result<(SessionId, bool), ConfigureError> {
-        let (name, graph, qos) = session();
-        let (id, parked) = match self.call_start(s, name, graph, qos, client_local) {
-            Ok(id) => (id, false),
-            Err(e) if park_any || matches!(e, ConfigureError::StaleView { .. }) => {
-                let (name, graph, qos) = session();
-                (self.call_park(s, name, graph, qos, client_local, e), true)
-            }
-            Err(e) => return Err(e),
-        };
-        let shard = &mut self.shards[s];
-        shard.active.insert(req, id);
-        shard.by_session.insert(id, req);
-        self.wals[s].push(|| WalRecord::Track { req, sid: id.raw() });
-        self.directory.insert(req, Loc::At { shard: s, id });
-        Ok((id, parked))
-    }
-
-    /// Admits arrival `i` of template `graph_index` on shard `s` for
-    /// global client device `client` (shard-local `client_local`),
-    /// counting and logging an admission or a stale-view park. `via`
-    /// tags a forwarded arrival's transcript lines. A refusal is
-    /// returned untouched.
-    #[allow(clippy::too_many_arguments)]
-    fn admit_arrival(
-        &mut self,
-        s: usize,
-        i: usize,
-        graph_index: usize,
-        client_local: usize,
-        client: usize,
-        via: &str,
-        at_h: f64,
-    ) -> Result<(), ConfigureError> {
-        let (name, graph) = app_template(graph_index);
-        let (id, parked) = self.admit(s, i, client_local, false, || {
-            (format!("{name}-{i}"), graph.clone(), QosVector::new())
-        })?;
-        let report = &mut self.shards[s].report;
-        report.arrivals += 1;
-        report.admitted += 1;
-        let fate = if parked {
-            report.parked += 1;
-            "parked on stale view"
-        } else {
-            "admitted"
-        };
-        self.slog(
-            s,
-            at_h,
-            &format!("arrive  req{i} {name} client=dev{client}{via} -> {fate} as {id}"),
-        );
-        Ok(())
-    }
-
-    /// Denies arrival `i` of template `graph_index` on shard `s`,
-    /// witnessed by `err`.
-    #[allow(clippy::too_many_arguments)]
-    fn deny_arrival(
-        &mut self,
-        s: usize,
-        i: usize,
-        graph_index: usize,
-        client: usize,
-        via: &str,
-        at_h: f64,
-        err: &dyn std::fmt::Display,
-    ) {
-        let report = &mut self.shards[s].report;
-        report.arrivals += 1;
-        report.denied += 1;
-        self.directory.insert(i, Loc::Gone { shard: s });
-        let (name, _) = app_template(graph_index);
-        self.slog(
-            s,
-            at_h,
-            &format!("arrive  req{i} {name} client=dev{client}{via} -> denied ({err})"),
-        );
-    }
-
     /// Whether shard `s` is reachable (no partition window covers `t`).
     fn reachable_shard(&self, s: usize, t: f64) -> bool {
         !self
@@ -1371,7 +1084,7 @@ impl<'a> Engine<'a> {
     /// jitter). Copies already due are processed by the next
     /// `process_net_due` sweep.
     fn collect_transport(&mut self) {
-        for s in 0..self.shards.len() {
+        for s in 0..self.cores.len() {
             for env in self.transport.drain(s) {
                 if env.arrive_at_h > self.now_h + TIME_EPS {
                     self.netq.schedule(env.arrive_at_h, NetEvent::Arrive);
@@ -1426,7 +1139,7 @@ impl<'a> Engine<'a> {
             // and re-ack so the sender can stop retransmitting even if
             // the original ack was lost.
             self.stats.duplicate_drops += 1;
-            self.shards[to].report.duplicate_drops += 1;
+            self.cores[to].shard.report.duplicate_drops += 1;
             self.send_ack(to, from);
             return;
         }
@@ -1454,7 +1167,7 @@ impl<'a> Engine<'a> {
             );
             self.stats.reorder_buffered += 1;
             self.stats.reorder_depth_max = self.stats.reorder_depth_max.max(depth);
-            let report = &mut self.shards[to].report;
+            let report = &mut self.cores[to].shard.report;
             report.reorder_depth_max = report.reorder_depth_max.max(depth as u32);
             self.send_ack(to, from);
             return;
@@ -1492,7 +1205,10 @@ impl<'a> Engine<'a> {
             attempts.push(link.tx.remove(&seq).expect("keyed").attempts);
         }
         for a in attempts {
-            self.shards[src].server.record_retransmits(u64::from(a));
+            self.cores[src]
+                .shard
+                .server
+                .record_retransmits(u64::from(a));
         }
     }
 
@@ -1543,7 +1259,7 @@ impl<'a> Engine<'a> {
                 env.tx_at_h = self.now_h;
                 env.arrive_at_h = self.now_h;
                 self.stats.retransmissions += 1;
-                self.shards[from].report.retransmissions += 1;
+                self.cores[from].shard.report.retransmissions += 1;
                 self.transmit(env);
                 self.netq.schedule(
                     self.now_h + self.rto_h(attempts),
@@ -1613,21 +1329,22 @@ impl<'a> Engine<'a> {
             FedEvent::Expire(hid) => self.on_expire(hid, at_h, &mut touched),
             FedEvent::Deliver(to) => {
                 // The turn's pump delivers everything due.
-                debug_assert!(to < self.shards.len(), "deliver target in range");
+                debug_assert!(to < self.cores.len(), "deliver target in range");
             }
         }
         self.turn = Some(Turn { at_h, touched });
     }
 
-    /// Pumps the open turn, if any; when it completes, runs the serial
-    /// per-event epilogue for every shard it touched.
+    /// Pumps the open turn, if any; when it completes, runs the shard
+    /// core's per-event epilogue for every shard it touched.
     fn resume_turn(&mut self) -> Result<(), InvariantViolation> {
         let Some(mut turn) = self.turn.take() else {
             return Ok(());
         };
         if self.pump_turn(&mut turn) {
             for s in std::mem::take(&mut turn.touched) {
-                self.finish_event(s, turn.at_h)?;
+                self.cores[s].finish_event(turn.at_h)?;
+                self.retag(s);
             }
         } else {
             self.turn = Some(turn);
@@ -1667,27 +1384,27 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Routes an arrival: serial client draw over the *global* up
-    /// list, admission on the owner shard, cross-domain forwarding
-    /// when a specialized registry lacks the service type.
+    /// Routes an arrival: client draw over the *global* up list,
+    /// admission on the owner shard, cross-domain forwarding when a
+    /// specialized registry lacks the service type.
     fn on_arrival(&mut self, i: usize, at_h: f64, touched: &mut BTreeSet<usize>) {
-        let req = self.trace[i];
         let mut up: Vec<usize> = Vec::new();
-        for (s, sh) in self.shards.iter().enumerate() {
-            let off = self.offsets[s];
-            up.extend(
-                (0..self.sizes[s])
-                    .filter(|d| !sh.down.contains(d))
-                    .map(|d| off + d),
-            );
+        for core in &self.cores {
+            up.extend(core.up_devices().map(|d| core.offset + d));
         }
-        let client = up[(splitmix64(self.cfg.base.seed ^ i as u64) % up.len() as u64) as usize];
+        let client = client_draw(self.cfg.base.seed, i, &up);
         let a = self.owner(client);
-        let client_local = client - self.offsets[a];
-        self.advance(a, at_h);
-        touched.insert(a);
-        self.shards[a].report.events += 1;
-        let Err(e) = self.admit_arrival(a, i, req.graph_index, client_local, client, "", at_h)
+        self.directory.insert(i, Loc::At(a));
+        let arrival = Arrival {
+            req: i,
+            graph_index: self.trace[i].graph_index,
+            client_local: client - self.offsets[a],
+            via: None,
+        };
+        let (_, graph) = app_template(arrival.graph_index);
+        let Err(e) = self
+            .touch(a, at_h, touched)
+            .arrival(arrival, graph, at_h, None)
         else {
             return;
         };
@@ -1697,88 +1414,49 @@ impl<'a> Engine<'a> {
         // mutually-reachable shards, so the whole chain resolves inside
         // this arrival's turn and the deny below is the only synchronous
         // fallback (nothing probe-able at all).
-        let forwardable = self.specialized
+        let probing = self.specialized
             && matches!(e, ConfigureError::Composition(_))
-            && self.reachable_shard(a, at_h);
-        if !forwardable || !self.start_discovery(a, i, req.graph_index, client, at_h, &e) {
-            self.deny_arrival(a, i, req.graph_index, client, "", at_h, &e);
-        }
-    }
-
-    /// Starts a cross-shard discovery chain for request `i`: sends a
-    /// `DiscoverRemote` probe to the first probe-able candidate shard
-    /// (domain-tree resolution order) and parks the continuation in
-    /// `pending_discovery` until the `DiscoverFound` reply lands.
-    /// Returns `false` if no candidate is probe-able — the caller
-    /// denies the arrival immediately, exactly as the old synchronous
-    /// resolution did.
-    fn start_discovery(
-        &mut self,
-        a: usize,
-        i: usize,
-        graph_index: usize,
-        client: usize,
-        at_h: f64,
-        err: &ConfigureError,
-    ) -> bool {
-        let candidates = self.candidates[a].clone();
-        for (pos, &b) in candidates.iter().enumerate() {
-            if !self.reachable_shard(b, at_h) || self.suspected_shard(b, at_h) {
-                continue;
-            }
-            self.stats.remote_discoveries += 1;
-            self.pending_discovery.insert(
-                i,
-                DiscoveryState {
+            && self.reachable_shard(a, at_h)
+            && {
+                let st = DiscoveryState {
                     origin: a,
-                    graph_index,
-                    client,
-                    err: format!("{err}"),
-                    pos,
-                },
-            );
-            self.send(
-                a,
-                b,
-                at_h,
-                FederationMsg::DiscoverRemote {
-                    service_type: probe_type(graph_index).to_owned(),
-                    req: i,
-                },
-            );
-            return true;
+                    arrival,
+                    err: e.to_string(),
+                    pos: 0,
+                };
+                self.probe_from(st, 0, at_h).is_none()
+            };
+        if !probing {
+            self.cores[a].deny_arrival(arrival, at_h, &e);
         }
-        false
     }
 
-    /// Advances a discovery chain past candidate position `st.pos`
-    /// after a miss: probes the next probe-able candidate (re-parking
-    /// the continuation) or returns the state back to the caller when
-    /// the candidate list is exhausted, so it can deny the arrival.
-    fn probe_next(
+    /// Probes the first probe-able candidate of `st.origin` (domain-tree
+    /// resolution order) at or after position `from` with a
+    /// `DiscoverRemote`, parking the continuation in `pending_discovery`
+    /// until the `DiscoverFound` reply lands. Returns the state back
+    /// when no candidate is left, so the caller can deny the arrival.
+    fn probe_from(
         &mut self,
-        req: usize,
         mut st: DiscoveryState,
+        from: usize,
         at_h: f64,
     ) -> Option<DiscoveryState> {
         let candidates = self.candidates[st.origin].clone();
-        for (pos, &b) in candidates.iter().enumerate().skip(st.pos + 1) {
+        for (pos, &b) in candidates.iter().enumerate().skip(from) {
             if !self.reachable_shard(b, at_h) || self.suspected_shard(b, at_h) {
                 continue;
             }
             self.stats.remote_discoveries += 1;
             st.pos = pos;
-            let origin = st.origin;
-            let graph_index = st.graph_index;
+            let (origin, req) = (st.origin, st.arrival.req);
+            let service_type = probe_type(st.arrival.graph_index).to_owned();
             self.pending_discovery.insert(req, st);
             self.send(
                 origin,
                 b,
                 at_h,
-                FederationMsg::DiscoverRemote {
-                    service_type: probe_type(graph_index).to_owned(),
-                    req,
-                },
+                FederationMsg::DiscoverRemote { service_type, req },
             );
             return None;
         }
@@ -1798,145 +1476,116 @@ impl<'a> Engine<'a> {
         at_h: f64,
         touched: &mut BTreeSet<usize>,
     ) {
-        self.advance(a, at_h);
-        touched.insert(a);
         let st = self
             .pending_discovery
             .remove(&req)
             .expect("a DiscoverFound reply always has a parked continuation");
         debug_assert_eq!(st.origin, a, "the reply returns to the probing shard");
-        let (name, _) = app_template(st.graph_index);
-        let client = st.client;
+        let core = self.touch(a, at_h, touched);
         if found {
-            let probe = probe_type(st.graph_index);
-            self.stats.forwarded += 1;
-            self.stats.forwarded_out[a] += 1;
-            self.stats.forwarded_in[b] += 1;
-            self.slog(
-                a,
+            let name = template_name(st.arrival.graph_index);
+            let probe = probe_type(st.arrival.graph_index);
+            let client = core.offset + st.arrival.client_local;
+            core.log.push_args(
                 at_h,
-                &format!(
+                format_args!(
                     "arrive  req{req} {name} client=dev{client} -> forwarded to shard{b} (no local {probe})"
                 ),
             );
-            self.admit_forwarded(req, st.graph_index, a, b, at_h, touched);
-        } else if let Some(st) = self.probe_next(req, st, at_h) {
-            self.deny_arrival(a, req, st.graph_index, client, "", at_h, &st.err);
+            self.stats.forwarded += 1;
+            self.stats.forwarded_out[a] += 1;
+            self.stats.forwarded_in[b] += 1;
+            self.admit_forwarded(st.arrival, a, b, at_h, touched);
+        } else {
+            let from = st.pos + 1;
+            if let Some(st) = self.probe_from(st, from, at_h) {
+                self.cores[a].deny_arrival(st.arrival, at_h, &st.err);
+            }
         }
     }
 
-    /// Admits a forwarded arrival on shard `b`: its own deterministic
-    /// client draw over its local up list, then the serial admission
-    /// arms with a `via shard{a}` transcript tag.
+    /// Admits an arrival forwarded from shard `a` on shard `b`: its own
+    /// deterministic client draw over its local up list, then the
+    /// shard-core admission with a `via shard{a}` transcript tag.
     fn admit_forwarded(
         &mut self,
-        i: usize,
-        graph_index: usize,
+        origin: Arrival,
         a: usize,
         b: usize,
         at_h: f64,
         touched: &mut BTreeSet<usize>,
     ) {
-        self.advance(b, at_h);
-        touched.insert(b);
-        let b_up: Vec<usize> = (0..self.sizes[b])
-            .filter(|d| !self.shards[b].down.contains(d))
-            .collect();
+        let seed = self.cfg.base.seed;
+        let core = self.touch(b, at_h, touched);
+        let b_up: Vec<usize> = core.up_devices().collect();
         debug_assert!(!b_up.is_empty(), "per-shard crash skips keep one device up");
-        let client_local =
-            b_up[(splitmix64(self.cfg.base.seed ^ i as u64) % b_up.len() as u64) as usize];
-        let client = self.offsets[b] + client_local;
-        let via = format!(" via shard{a}");
-        if let Err(e) = self.admit_arrival(b, i, graph_index, client_local, client, &via, at_h) {
-            self.deny_arrival(b, i, graph_index, client, &via, at_h, &e);
+        let arrival = Arrival {
+            client_local: client_draw(seed, origin.req, &b_up),
+            via: Some(a),
+            ..origin
+        };
+        let (_, graph) = app_template(arrival.graph_index);
+        if let Err(e) = core.admit_arrival(arrival, graph, at_h, None) {
+            core.deny_arrival(arrival, at_h, &e);
         }
+        self.directory.insert(arrival.req, Loc::At(b));
     }
 
-    /// Routes a departure through the directory to the owning shard
-    /// (serial arm verbatim); a mid-handoff departure is deferred to
-    /// the commit.
+    /// Routes a departure through the directory to the shard core's
+    /// departure arm; a mid-handoff departure is deferred to the
+    /// commit.
     fn on_departure(&mut self, i: usize, at_h: f64, touched: &mut BTreeSet<usize>) {
         let s = match self.directory.get(&i) {
-            Some(Loc::At { shard, .. }) | Some(Loc::Gone { shard }) => *shard,
-            Some(Loc::InFlight { hid }) => {
-                let hid = *hid;
+            Some(&Loc::At(s)) => s,
+            Some(&Loc::InFlight(hid)) => {
                 let a = self.handoffs[&hid].source;
-                self.advance(a, at_h);
-                touched.insert(a);
-                self.shards[a].report.events += 1;
+                let core = self.touch(a, at_h, touched);
+                core.shard.report.events += 1;
+                core.log.push_args(
+                    at_h,
+                    format_args!("depart  req{i} -> in flight (h{hid}, deferred to commit)"),
+                );
                 self.handoffs
                     .get_mut(&hid)
                     .expect("tracked handoff")
                     .departed = true;
-                self.slog(
-                    a,
-                    at_h,
-                    &format!("depart  req{i} -> in flight (h{hid}, deferred to commit)"),
-                );
                 return;
             }
-            // Denied-before-tracking can't happen (every arrival sets
-            // the directory), but route defensively to the home shard.
+            // Every arrival sets the directory; route defensively to
+            // the home shard.
             None => 0,
         };
-        self.advance(s, at_h);
-        touched.insert(s);
-        let shard = &mut self.shards[s];
-        shard.report.events += 1;
-        match shard.active.remove(&i) {
-            Some(id) => {
-                shard.by_session.remove(&id);
-                shard.report.completed += 1;
-                self.wals[s].push(|| WalRecord::Untrack {
-                    req: i,
-                    sid: id.raw(),
-                });
-                self.call_stop(s, id);
-                self.directory.insert(i, Loc::Gone { shard: s });
-                self.slog(s, at_h, &format!("depart  req{i} -> completed ({id})"));
-            }
-            None => {
-                self.slog(s, at_h, &format!("depart  req{i} -> already gone"));
-            }
-        }
+        self.touch(s, at_h, touched).depart(i, at_h);
     }
 
     /// Dispatches one scheduled fault: single-device kinds remap to
-    /// the owner shard's local index and replay the serial arm; scoped
-    /// kinds split into per-shard sub-scopes; moves and switches pick
-    /// over the global live-session list and become two-phase handoffs
-    /// when they cross a shard boundary.
+    /// the owner shard's local index and run the shard core's fault
+    /// arm; scoped kinds split into per-shard sub-scopes; moves and
+    /// switches pick over the global live-session list and become
+    /// two-phase handoffs when they cross a shard boundary.
     fn on_fault(&mut self, j: usize, at_h: f64, touched: &mut BTreeSet<usize>) {
         let fault = self.schedule[j];
+        let local = |kind| TimedFault {
+            at_h: fault.at_h,
+            kind,
+        };
         match fault.kind {
             FaultKind::Crash { device }
             | FaultKind::Recover { device }
             | FaultKind::Fluctuate { device, .. }
             | FaultKind::JamHeartbeats { device, .. } => {
                 let s = self.owner(device);
-                let local = device - self.offsets[s];
+                let device = device - self.offsets[s];
                 let kind = match fault.kind {
-                    FaultKind::Crash { .. } => FaultKind::Crash { device: local },
-                    FaultKind::Recover { .. } => FaultKind::Recover { device: local },
-                    FaultKind::Fluctuate { factor, .. } => FaultKind::Fluctuate {
-                        device: local,
-                        factor,
-                    },
-                    FaultKind::JamHeartbeats { until_h, .. } => FaultKind::JamHeartbeats {
-                        device: local,
-                        until_h,
-                    },
+                    FaultKind::Crash { .. } => FaultKind::Crash { device },
+                    FaultKind::Recover { .. } => FaultKind::Recover { device },
+                    FaultKind::Fluctuate { factor, .. } => FaultKind::Fluctuate { device, factor },
+                    FaultKind::JamHeartbeats { until_h, .. } => {
+                        FaultKind::JamHeartbeats { device, until_h }
+                    }
                     _ => unreachable!(),
                 };
-                self.apply_local_fault(
-                    s,
-                    TimedFault {
-                        at_h: fault.at_h,
-                        kind,
-                    },
-                    at_h,
-                    touched,
-                );
+                self.apply_local_fault(s, local(kind), at_h, touched);
             }
             FaultKind::DegradeLink { a, b, factor } => {
                 let sa = self.owner(a);
@@ -1948,27 +1597,16 @@ impl<'a> Engine<'a> {
                         b: b - off,
                         factor,
                     };
-                    self.apply_local_fault(
-                        sa,
-                        TimedFault {
-                            at_h: fault.at_h,
-                            kind,
-                        },
-                        at_h,
-                        touched,
-                    );
+                    self.apply_local_fault(sa, local(kind), at_h, touched);
                 } else {
                     // No inter-shard links exist in the sharded space;
                     // the fault is observed (and logged) by the lower
                     // endpoint's owner.
-                    let s = sa.min(sb);
-                    self.advance(s, at_h);
-                    touched.insert(s);
-                    self.shards[s].report.events += 1;
-                    self.slog(
-                        s,
+                    let core = self.touch(sa.min(sb), at_h, touched);
+                    core.shard.report.events += 1;
+                    core.log.push_args(
                         at_h,
-                        &format!(
+                        format_args!(
                             "fault   degrade-link dev{a}-dev{b} -> skipped (cross-shard link)"
                         ),
                     );
@@ -1980,38 +1618,22 @@ impl<'a> Engine<'a> {
                 let lo = first;
                 let hi = first + count;
                 let mut any = false;
-                for s in 0..self.shards.len() {
-                    let s_lo = lo.max(self.offsets[s]);
-                    let s_hi = hi.min(self.offsets[s] + self.sizes[s]);
+                for s in 0..self.cores.len() {
+                    let off = self.offsets[s];
+                    let s_lo = lo.max(off);
+                    let s_hi = hi.min(off + self.cores[s].shard.cfg.devices);
                     if s_lo >= s_hi {
                         continue;
                     }
                     any = true;
-                    let off = self.offsets[s];
+                    let (first, count) = (s_lo - off, s_hi - s_lo);
                     let kind = match fault.kind {
-                        FaultKind::CrashScope { .. } => FaultKind::CrashScope {
-                            first: s_lo - off,
-                            count: s_hi - s_lo,
-                        },
-                        FaultKind::Partition { .. } => FaultKind::Partition {
-                            first: s_lo - off,
-                            count: s_hi - s_lo,
-                        },
-                        FaultKind::Heal { .. } => FaultKind::Heal {
-                            first: s_lo - off,
-                            count: s_hi - s_lo,
-                        },
+                        FaultKind::CrashScope { .. } => FaultKind::CrashScope { first, count },
+                        FaultKind::Partition { .. } => FaultKind::Partition { first, count },
+                        FaultKind::Heal { .. } => FaultKind::Heal { first, count },
                         _ => unreachable!(),
                     };
-                    self.apply_local_fault(
-                        s,
-                        TimedFault {
-                            at_h: fault.at_h,
-                            kind,
-                        },
-                        at_h,
-                        touched,
-                    );
+                    self.apply_local_fault(s, local(kind), at_h, touched);
                 }
                 debug_assert!(any, "scoped faults index the device space");
             }
@@ -2041,27 +1663,28 @@ impl<'a> Engine<'a> {
     /// digest-pinned equivalence contract stays two-sided (any replay
     /// bug trips the hard assert here and the digest gate downstream).
     fn crash_shard(&mut self, s: usize) {
+        let core = &mut self.cores[s];
         // Counters first, so the crash-boundary `Mark` (and therefore
         // the rebuilt report) already carries this crash.
-        self.shards[s].report.shard_crashes += 1;
-        self.wal_mark(s);
-        let replayed = self.wals[s].tail.len() as u64;
-        let rebuilt = self.wals[s].recover(self.grace_ms);
-        assert_recovered_equal(&self.shards[s], &rebuilt, s);
-        self.shards[s] = rebuilt;
-        self.shards[s].report.wal_replayed += replayed as u32;
-        self.shards[s].report.snapshot_restores += 1;
+        core.shard.report.shard_crashes += 1;
+        core.mark();
+        let replayed = core.wal.tail.len() as u64;
+        let rebuilt = core.wal.recover(core.grace_ms);
+        assert_recovered_equal(&core.shard, &rebuilt, s);
+        core.shard = rebuilt;
+        core.shard.report.wal_replayed += replayed as u32;
+        core.shard.report.snapshot_restores += 1;
+        // Fresh checkpoint: the post-recovery state (with the counter
+        // bumps above) becomes the new replay base.
+        core.wal.checkpoint(&core.shard);
         self.stats.shard_crashes += 1;
         self.stats.wal_replayed += replayed;
         self.stats.snapshot_restores += 1;
         self.stats.wal_replay_depths.push(replayed);
-        // Fresh checkpoint: the post-recovery state (with the counter
-        // bumps above) becomes the new replay base.
-        self.wals[s].checkpoint(&self.shards[s]);
     }
 
-    /// Replays the serial fault arm on shard `s` with a shard-local
-    /// fault.
+    /// Runs the shard core's device-fault arm on shard `s` with a
+    /// shard-local fault.
     fn apply_local_fault(
         &mut self,
         s: usize,
@@ -2069,28 +1692,14 @@ impl<'a> Engine<'a> {
         at_h: f64,
         touched: &mut BTreeSet<usize>,
     ) {
-        self.advance(s, at_h);
-        touched.insert(s);
-        self.wals[s].push(|| WalRecord::Fault(fault));
-        let shard = &mut self.shards[s];
-        shard.report.events += 1;
-        let line = apply_fault(
-            &mut shard.server,
-            &fault,
-            &shard.cfg,
-            &mut shard.down,
-            &mut shard.det,
-            &mut shard.active,
-            &mut shard.by_session,
-            &mut shard.report,
-        );
-        self.slog(s, at_h, &line);
+        self.touch(s, at_h, touched).device_fault(&fault, at_h);
+        self.retag(s);
     }
 
     /// The `move-user` / `switch-device` arm over the federated
-    /// session space: serial pick semantics (shard-major live-session
-    /// list), local execution when source and destination share a
-    /// shard, two-phase handoff otherwise.
+    /// session space: the pick runs over the shard-major live-session
+    /// list, the shard core relocates when source and destination
+    /// share a shard, and a two-phase handoff runs otherwise.
     fn on_move(
         &mut self,
         pick: u64,
@@ -2099,76 +1708,32 @@ impl<'a> Engine<'a> {
         at_h: f64,
         touched: &mut BTreeSet<usize>,
     ) {
-        let label = if is_move {
-            "move-user"
-        } else {
-            "switch-device"
-        };
-        let mut ids: Vec<(usize, SessionId)> = Vec::new();
-        for (s, sh) in self.shards.iter().enumerate() {
-            ids.extend(
-                sh.by_session
-                    .keys()
-                    .copied()
-                    .filter(|&id| sh.server.session(id).is_some())
-                    .map(|id| (s, id)),
-            );
-        }
-        if ids.is_empty() {
-            let s = self.owner(to);
-            self.advance(s, at_h);
-            touched.insert(s);
-            self.shards[s].report.events += 1;
-            self.slog(
-                s,
-                at_h,
-                &format!("fault   {label} -> skipped (no live session)"),
-            );
-            return;
-        }
-        let (a, id) = ids[(pick % ids.len() as u64) as usize];
         let b = self.owner(to);
-        self.advance(a, at_h);
-        touched.insert(a);
-        self.shards[a].report.events += 1;
-        if self.handoffs.values().any(|h| {
+        let Some((a, id)) = pick_live(&self.cores, pick) else {
+            let core = self.touch(b, at_h, touched);
+            core.shard.report.events += 1;
+            core.relocate(None, to - core.offset, is_move, at_h);
+            return;
+        };
+        let in_progress = self.handoffs.values().any(|h| {
             h.source == a
                 && h.sid == id
                 && !matches!(h.state, HandoffState::Committed | HandoffState::Aborted)
-        }) {
-            self.slog(
-                a,
-                at_h,
-                &format!("fault   {label} {id} -> skipped (handoff in progress)"),
-            );
-            return;
-        }
-        if a == b {
-            // Serial arm verbatim (global `to` == local index + shard
-            // offset; identical text at one shard).
-            let local_to = to - self.offsets[a];
-            let result = self.call_relocate(a, id, local_to, is_move);
-            let report = &mut self.shards[a].report;
-            if is_move {
-                report.moves += 1;
+        });
+        let core = self.touch(a, at_h, touched);
+        core.shard.report.events += 1;
+        if in_progress {
+            let label = if is_move {
+                "move-user"
             } else {
-                report.switches += 1;
-            }
-            let line = match result {
-                Ok(plan) => format!(
-                    "fault   {label} {id} -> dev{to} (resume at {:.4}s)",
-                    plan.resume_position_s()
-                ),
-                Err(e) => {
-                    if is_move {
-                        report.move_failures += 1;
-                    } else {
-                        report.switch_failures += 1;
-                    }
-                    format!("fault   {label} {id} -> dev{to} failed ({e}), old config kept")
-                }
+                "switch-device"
             };
-            self.slog(a, at_h, &line);
+            core.log.push_args(
+                at_h,
+                format_args!("fault   {label} {id} -> skipped (handoff in progress)"),
+            );
+        } else if a == b {
+            core.relocate(Some(id), to - core.offset, is_move, at_h);
         } else {
             self.initiate_handoff(a, b, id, to, is_move, at_h);
         }
@@ -2189,19 +1754,15 @@ impl<'a> Engine<'a> {
         } else {
             "switch-device"
         };
-        {
-            let report = &mut self.shards[a].report;
-            if is_move {
-                report.moves += 1;
-            } else {
-                report.switches += 1;
-            }
+        let core = &mut self.cores[a];
+        let report = &mut core.shard.report;
+        if is_move {
+            report.moves += 1;
+        } else {
+            report.switches += 1;
         }
         let (name, graph, qos, old_client) = {
-            let s = self.shards[a]
-                .server
-                .session(id)
-                .expect("picked live session");
+            let s = core.shard.server.session(id).expect("picked live session");
             (
                 s.name.clone(),
                 s.abstract_graph.clone(),
@@ -2209,35 +1770,28 @@ impl<'a> Engine<'a> {
                 s.client_device,
             )
         };
-        let req = self.shards[a].by_session[&id];
+        let req = core.shard.by_session[&id];
         if self.suspected_shard(b, at_h) {
             // Suspected destination: never half-move. The session is
             // stopped (exact refund) and parked on the source into the
             // retry queue, witnessed by the stale view of dev`to`.
             self.stats.handoffs_parked_dest_suspected += 1;
             let witness = ConfigureError::StaleView { device: to_global };
-            self.call_stop(a, id);
-            let pid = self.call_park(a, name, graph, qos, old_client.index(), witness);
-            let shard = &mut self.shards[a];
-            shard.report.parked += 1;
+            let core = &mut self.cores[a];
+            core.call_stop(id);
+            let pid = core.call_park(name, graph, qos, old_client.index(), witness);
+            let report = &mut core.shard.report;
+            report.parked += 1;
             if is_move {
-                shard.report.move_failures += 1;
+                report.move_failures += 1;
             } else {
-                shard.report.switch_failures += 1;
+                report.switch_failures += 1;
             }
-            shard.by_session.remove(&id);
-            shard.active.insert(req, pid);
-            shard.by_session.insert(pid, req);
-            self.wals[a].push(|| WalRecord::Untrack { req, sid: id.raw() });
-            self.wals[a].push(|| WalRecord::Track {
-                req,
-                sid: pid.raw(),
-            });
-            self.directory.insert(req, Loc::At { shard: a, id: pid });
-            self.slog(
-                a,
+            core.untrack(req, id);
+            core.track(req, pid);
+            core.log.push_args(
                 at_h,
-                &format!(
+                format_args!(
                     "fault   {label} {id} -> dev{to_global}@shard{b} parked (destination suspected) as {pid}"
                 ),
             );
@@ -2268,10 +1822,9 @@ impl<'a> Engine<'a> {
         self.send(a, b, at_h, FederationMsg::Reserve { hid });
         let decide_h = at_h + self.cfg.commit_lag_h;
         self.queue.schedule(decide_h, FedEvent::Decide(hid));
-        self.slog(
-            a,
+        self.cores[a].log.push_args(
             at_h,
-            &format!(
+            format_args!(
                 "fault   {label} {id} -> dev{to_global}@shard{b} reserving (h{hid}, decide at t={decide_h:.4}h)"
             ),
         );
@@ -2280,68 +1833,49 @@ impl<'a> Engine<'a> {
     /// The commit-or-abort decision on the source shard,
     /// `commit_lag_h` after the reserve.
     fn on_decide(&mut self, hid: u64, at_h: f64, touched: &mut BTreeSet<usize>) {
-        let (a, b, sid, req, is_move, state) = {
+        let (a, b, sid, req, state) = {
             let h = &self.handoffs[&hid];
-            (h.source, h.dest, h.sid, h.req, h.is_move, h.state)
+            (h.source, h.dest, h.sid, h.req, h.state)
         };
-        self.advance(a, at_h);
-        touched.insert(a);
-        match state {
-            HandoffState::Committed | HandoffState::Aborted => {
-                self.slog(
-                    a,
-                    at_h,
-                    &format!("handoff h{hid} decide -> already resolved"),
-                );
-            }
-            HandoffState::Reserving | HandoffState::Reserved => {
-                let tracked = self.shards[a].by_session.contains_key(&sid);
-                let live = tracked && self.shards[a].server.session(sid).is_some();
-                if !tracked {
-                    self.abort_handoff(hid, a, b, at_h, "session gone", false, is_move);
-                } else if !live {
-                    self.abort_handoff(hid, a, b, at_h, "session parked on source", false, is_move);
-                } else if state == HandoffState::Reserving {
-                    self.abort_handoff(
-                        hid,
-                        a,
-                        b,
-                        at_h,
-                        "no reserve acknowledgement",
-                        true,
-                        is_move,
-                    );
-                } else if self.suspected_shard(b, at_h) {
-                    let reason = format!("destination shard{b} suspected");
-                    self.abort_handoff(hid, a, b, at_h, &reason, true, is_move);
-                } else if !self.reachable_shard(a, at_h) {
-                    let reason = format!("source shard{a} partitioned");
-                    self.abort_handoff(hid, a, b, at_h, &reason, true, is_move);
-                } else {
-                    // Commit: release on the source (exact refund),
-                    // custody transfers in flight.
-                    self.call_stop(a, sid);
-                    self.wals[a].push(|| WalRecord::Untrack {
-                        req,
-                        sid: sid.raw(),
-                    });
-                    let shard = &mut self.shards[a];
-                    shard.active.remove(&req);
-                    shard.by_session.remove(&sid);
-                    self.handoffs.get_mut(&hid).expect("tracked").state = HandoffState::Committed;
-                    self.stats.handed_out[a] += 1;
-                    self.stats.handoffs_committed += 1;
-                    self.directory.insert(req, Loc::InFlight { hid });
-                    self.send(a, b, at_h, FederationMsg::Commit { hid });
-                    self.slog(
-                        a,
-                        at_h,
-                        &format!(
-                            "handoff h{hid} decide -> commit ({sid} released from shard{a}, in flight to shard{b})"
-                        ),
-                    );
-                }
-            }
+        let core = self.touch(a, at_h, touched);
+        if matches!(state, HandoffState::Committed | HandoffState::Aborted) {
+            core.log.push_args(
+                at_h,
+                format_args!("handoff h{hid} decide -> already resolved"),
+            );
+            return;
+        }
+        let tracked = core.shard.by_session.contains_key(&sid);
+        let live = tracked && core.shard.server.session(sid).is_some();
+        if !tracked {
+            self.abort_handoff(hid, at_h, "session gone", false);
+        } else if !live {
+            self.abort_handoff(hid, at_h, "session parked on source", false);
+        } else if state == HandoffState::Reserving {
+            self.abort_handoff(hid, at_h, "no reserve acknowledgement", true);
+        } else if self.suspected_shard(b, at_h) {
+            let reason = format!("destination shard{b} suspected");
+            self.abort_handoff(hid, at_h, &reason, true);
+        } else if !self.reachable_shard(a, at_h) {
+            let reason = format!("source shard{a} partitioned");
+            self.abort_handoff(hid, at_h, &reason, true);
+        } else {
+            // Commit: release on the source (exact refund), custody
+            // transfers in flight.
+            let core = &mut self.cores[a];
+            core.call_stop(sid);
+            core.untrack(req, sid);
+            core.log.push_args(
+                at_h,
+                format_args!(
+                    "handoff h{hid} decide -> commit ({sid} released from shard{a}, in flight to shard{b})"
+                ),
+            );
+            self.handoffs.get_mut(&hid).expect("tracked").state = HandoffState::Committed;
+            self.stats.handed_out[a] += 1;
+            self.stats.handoffs_committed += 1;
+            self.directory.insert(req, Loc::InFlight(hid));
+            self.send(a, b, at_h, FederationMsg::Commit { hid });
         }
     }
 
@@ -2350,88 +1884,62 @@ impl<'a> Engine<'a> {
     /// release whatever it holds. When the source is partitioned the
     /// abort itself defers — the reservation lease expires first and
     /// cleans up without it.
-    #[allow(clippy::too_many_arguments)]
-    fn abort_handoff(
-        &mut self,
-        hid: u64,
-        a: usize,
-        b: usize,
-        at_h: f64,
-        reason: &str,
-        count_failure: bool,
-        is_move: bool,
-    ) {
-        self.handoffs.get_mut(&hid).expect("tracked").state = HandoffState::Aborted;
+    fn abort_handoff(&mut self, hid: u64, at_h: f64, reason: &str, count_failure: bool) {
+        let h = self.handoffs.get_mut(&hid).expect("tracked");
+        h.state = HandoffState::Aborted;
+        let (a, b) = (h.source, h.dest);
         self.stats.handoffs_aborted += 1;
-        let line = if count_failure {
-            let report = &mut self.shards[a].report;
-            if is_move {
+        let core = &mut self.cores[a];
+        if count_failure {
+            let report = &mut core.shard.report;
+            if h.is_move {
                 report.move_failures += 1;
             } else {
                 report.switch_failures += 1;
             }
-            format!("handoff h{hid} decide -> abort ({reason}), old config kept")
+            core.log.push_args(
+                at_h,
+                format_args!("handoff h{hid} decide -> abort ({reason}), old config kept"),
+            );
         } else {
-            format!("handoff h{hid} decide -> abort ({reason})")
-        };
+            core.log.push_args(
+                at_h,
+                format_args!("handoff h{hid} decide -> abort ({reason})"),
+            );
+        }
         self.send(a, b, at_h, FederationMsg::Abort { hid });
-        self.slog(a, at_h, &line);
     }
 
     /// Reservation lease expiry on the destination: a reservation not
     /// yet committed or aborted is released with an exact refund,
     /// witnessing the source's stale view of the handoff.
     fn on_expire(&mut self, hid: u64, at_h: f64, touched: &mut BTreeSet<usize>) {
-        let (b, reservation, to_global) = {
-            let h = &self.handoffs[&hid];
-            (h.dest, h.reservation, h.to_global)
+        let h = &self.handoffs[&hid];
+        let (b, to_global) = (h.dest, h.to_global);
+        // Already resolved — the expiry is a no-op and the shard is not
+        // even touched.
+        let (Reservation::Live(raw) | Reservation::Parked(raw)) = h.reservation else {
+            return;
         };
-        match reservation {
-            Reservation::Live(raw) | Reservation::Parked(raw) => {
-                self.advance(b, at_h);
-                touched.insert(b);
-                let rid = SessionId::from_raw(raw);
-                self.call_stop(b, rid);
-                self.res_index.remove(&(b, raw));
-                self.handoffs.get_mut(&hid).expect("tracked").reservation = Reservation::Expired;
-                self.stats.reservation_expiries += 1;
-                let witness = ConfigureError::StaleView { device: to_global };
-                self.slog(
-                    b,
-                    at_h,
-                    &format!(
-                        "handoff h{hid} reservation lease expired -> {rid} released ({witness})"
-                    ),
-                );
-            }
-            _ => {
-                // Already resolved — the expiry is a no-op and the
-                // shard is not even touched.
-            }
-        }
+        let rid = SessionId::from_raw(raw);
+        let core = self.touch(b, at_h, touched);
+        core.call_stop(rid);
+        let witness = ConfigureError::StaleView { device: to_global };
+        core.log.push_args(
+            at_h,
+            format_args!("handoff h{hid} reservation lease expired -> {rid} released ({witness})"),
+        );
+        self.res_index.remove(&(b, raw));
+        self.handoffs.get_mut(&hid).expect("tracked").reservation = Reservation::Expired;
+        self.stats.reservation_expiries += 1;
     }
 
-    /// Serial heartbeat arm, routed to the owner shard.
+    /// The shard core's heartbeat arm, routed to the owner shard.
     fn on_heartbeat(&mut self, g: usize, at_h: f64, touched: &mut BTreeSet<usize>) {
         let s = self.owner(g);
         let d = g - self.offsets[s];
-        self.advance(s, at_h);
-        touched.insert(s);
-        let shard = &self.shards[s];
-        let lost = shard.down.contains(&d)
-            || shard.det.partition_depth[d] > 0
-            || at_h < shard.det.jam_until_h[d];
-        if !lost {
-            if let Some((rec, tail)) = self.call_heartbeat(s, d) {
-                let report = &mut self.shards[s].report;
-                report.reinstatements += 1;
-                count_pass(&rec, report);
-                self.slog(
-                    s,
-                    at_h,
-                    &format!("detect  reinstate dev{d} (lease renewed) -> {tail}"),
-                );
-            }
+        if self.touch(s, at_h, touched).heartbeat(d, at_h).is_some() {
+            self.retag(s);
             self.queue.schedule(
                 at_h + self.cfg.base.detection_grace_h,
                 FedEvent::LeaseCheck(g),
@@ -2439,38 +1947,12 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Serial lease-check arm (anti-entropy sweep), routed to the
-    /// owner shard. Per-shard sweep hoisting: same-instant checks on
-    /// one shard share a single sweep.
+    /// The shard core's lease-check arm, routed to the owner shard
+    /// (same-instant checks on one shard share a single sweep).
     fn on_lease_check(&mut self, g: usize, at_h: f64, touched: &mut BTreeSet<usize>) {
         let s = self.owner(g);
-        self.advance(s, at_h);
-        touched.insert(s);
-        if at_h > self.hb_end_h + 1e-9 {
-            return;
-        }
-        if self.shards[s].last_sweep_h == Some(at_h) {
-            return;
-        }
-        self.shards[s].last_sweep_h = Some(at_h);
-        for (device, rec, tail) in self.call_expire_leases(s) {
-            let shard = &mut self.shards[s];
-            shard.report.suspicions += 1;
-            let ground_up = !shard.down.contains(&device.index());
-            if ground_up {
-                shard.report.false_suspected += 1;
-            }
-            count_pass(&rec, &mut shard.report);
-            let tag = if ground_up { " (falsely)" } else { "" };
-            self.slog(
-                s,
-                at_h,
-                &format!(
-                    "detect  suspect dev{}{tag} (lease expired) -> {tail}",
-                    device.index()
-                ),
-            );
-        }
+        self.touch(s, at_h, touched).lease_check(at_h);
+        self.retag(s);
     }
 
     /// Processes one delivered message on its destination shard. The
@@ -2490,7 +1972,8 @@ impl<'a> Engine<'a> {
         // artifact reports per-shard message-queue distributions
         // through the same [`StageTimes`] schema the pipeline uses.
         let wait_h = (env.deliver_at_h - env.sent_at_h).max(0.0);
-        self.shards[env.to]
+        self.cores[env.to]
+            .shard
             .server
             .record_queue_wait_us((wait_h * 3.6e9) as u64);
         match env.msg {
@@ -2502,7 +1985,8 @@ impl<'a> Engine<'a> {
                 // clock, log, or counters — a probe is a read, exactly
                 // as in the old synchronous round trip.
                 let b = env.to;
-                let hit = self.shards[b]
+                let hit = self.cores[b]
+                    .shard
                     .server
                     .registry()
                     .discover(&DiscoveryQuery::new(service_type))
@@ -2519,316 +2003,211 @@ impl<'a> Engine<'a> {
             }
             FederationMsg::Reserve { hid } => {
                 let b = env.to;
-                self.advance(b, at_h);
-                touched.insert(b);
-                let (state, name, graph, qos, client_local) = {
-                    let h = &self.handoffs[&hid];
-                    (
-                        h.state,
-                        h.name.clone(),
-                        h.graph.clone(),
-                        h.qos.clone(),
-                        h.client_local,
-                    )
-                };
+                let h = &self.handoffs[&hid];
+                let (state, client_local) = (h.state, h.client_local);
+                let (name, graph, qos) = (h.name.clone(), h.graph.clone(), h.qos.clone());
+                let reserve_grace_h = self.cfg.reserve_grace_h;
+                self.touch(b, at_h, touched);
+                let core = &mut self.cores[b];
                 if state == HandoffState::Aborted {
-                    self.handoffs.get_mut(&hid).expect("tracked").reservation = Reservation::Done;
-                    self.slog(
-                        b,
+                    core.log.push_args(
                         at_h,
-                        &format!("fedmsg  h{hid} reserve -> declined (handoff aborted)"),
+                        format_args!("fedmsg  h{hid} reserve -> declined (handoff aborted)"),
                     );
+                    self.handoffs.get_mut(&hid).expect("tracked").reservation = Reservation::Done;
                     return;
                 }
-                match self.call_start(b, name, graph, qos, client_local) {
+                let (reservation, reply) = match core.call_start(
+                    || name.clone(),
+                    graph,
+                    qos,
+                    client_local,
+                    None,
+                ) {
                     Ok(rid) => {
-                        self.handoffs.get_mut(&hid).expect("tracked").reservation =
-                            Reservation::Live(rid.raw());
+                        let expire_h = at_h + reserve_grace_h;
+                        core.log.push_args(
+                                at_h,
+                                format_args!(
+                                    "fedmsg  h{hid} reserve dev{client_local} -> held as {rid} (lease until t={expire_h:.4}h)"
+                                ),
+                            );
                         self.res_index.insert((b, rid.raw()), hid);
-                        let expire_h = at_h + self.cfg.reserve_grace_h;
                         self.queue.schedule(expire_h, FedEvent::Expire(hid));
-                        self.send(b, env.from, at_h, FederationMsg::ReserveOk { hid });
-                        self.slog(
-                            b,
-                            at_h,
-                            &format!(
-                                "fedmsg  h{hid} reserve dev{client_local} -> held as {rid} (lease until t={expire_h:.4}h)"
-                            ),
-                        );
+                        (
+                            Reservation::Live(rid.raw()),
+                            FederationMsg::ReserveOk { hid },
+                        )
                     }
                     Err(e) => {
-                        self.handoffs.get_mut(&hid).expect("tracked").reservation =
-                            Reservation::Done;
-                        self.send(
-                            b,
-                            env.from,
+                        core.log.push_args(
                             at_h,
-                            FederationMsg::ReserveErr {
-                                hid,
-                                error: format!("{e}"),
-                            },
+                            format_args!(
+                                "fedmsg  h{hid} reserve dev{client_local} -> declined ({e})"
+                            ),
                         );
-                        self.slog(
-                            b,
-                            at_h,
-                            &format!("fedmsg  h{hid} reserve dev{client_local} -> declined ({e})"),
-                        );
+                        let error = format!("{e}");
+                        (Reservation::Done, FederationMsg::ReserveErr { hid, error })
                     }
-                }
+                };
+                self.handoffs.get_mut(&hid).expect("tracked").reservation = reservation;
+                self.send(b, env.from, at_h, reply);
             }
             FederationMsg::ReserveOk { hid } => {
-                let a = env.to;
-                self.advance(a, at_h);
-                touched.insert(a);
+                self.touch(env.to, at_h, touched);
+                let core = &mut self.cores[env.to];
                 let h = self.handoffs.get_mut(&hid).expect("tracked");
                 if h.state == HandoffState::Reserving {
                     h.state = HandoffState::Reserved;
-                    self.slog(a, at_h, &format!("fedmsg  h{hid} reserve-ok -> reserved"));
+                    core.log
+                        .push_args(at_h, format_args!("fedmsg  h{hid} reserve-ok -> reserved"));
                 } else {
-                    self.slog(
-                        a,
+                    core.log.push_args(
                         at_h,
-                        &format!("fedmsg  h{hid} reserve-ok -> ignored (already resolved)"),
+                        format_args!("fedmsg  h{hid} reserve-ok -> ignored (already resolved)"),
                     );
                 }
             }
             FederationMsg::ReserveErr { hid, error } => {
                 let a = env.to;
-                self.advance(a, at_h);
-                touched.insert(a);
-                let (state, sid, is_move) = {
-                    let h = &self.handoffs[&hid];
-                    (h.state, h.sid, h.is_move)
-                };
-                if state == HandoffState::Reserving {
-                    self.handoffs.get_mut(&hid).expect("tracked").state = HandoffState::Aborted;
-                    self.stats.handoffs_aborted += 1;
-                    let shard = &mut self.shards[a];
-                    if shard.by_session.contains_key(&sid) && shard.server.session(sid).is_some() {
-                        if is_move {
-                            shard.report.move_failures += 1;
-                        } else {
-                            shard.report.switch_failures += 1;
-                        }
-                    }
-                    self.slog(
-                        a,
+                self.touch(a, at_h, touched);
+                let core = &mut self.cores[a];
+                let h = self.handoffs.get_mut(&hid).expect("tracked");
+                if h.state != HandoffState::Reserving {
+                    core.log.push_args(
                         at_h,
-                        &format!(
-                            "fedmsg  h{hid} reserve-err ({error}) -> aborted, old config kept"
-                        ),
+                        format_args!("fedmsg  h{hid} reserve-err -> ignored (already resolved)"),
                     );
-                } else {
-                    self.slog(
-                        a,
-                        at_h,
-                        &format!("fedmsg  h{hid} reserve-err -> ignored (already resolved)"),
-                    );
+                    return;
                 }
+                h.state = HandoffState::Aborted;
+                let shard = &mut core.shard;
+                if shard.by_session.contains_key(&h.sid) && shard.server.session(h.sid).is_some() {
+                    if h.is_move {
+                        shard.report.move_failures += 1;
+                    } else {
+                        shard.report.switch_failures += 1;
+                    }
+                }
+                core.log.push_args(
+                    at_h,
+                    format_args!(
+                        "fedmsg  h{hid} reserve-err ({error}) -> aborted, old config kept"
+                    ),
+                );
+                self.stats.handoffs_aborted += 1;
             }
             FederationMsg::Commit { hid } => {
                 self.deliver_commit(hid, at_h, touched);
             }
             FederationMsg::Abort { hid } => {
                 let b = env.to;
-                self.advance(b, at_h);
-                touched.insert(b);
-                let reservation = self.handoffs[&hid].reservation;
-                match reservation {
-                    Reservation::Live(raw) | Reservation::Parked(raw) => {
-                        let rid = SessionId::from_raw(raw);
-                        self.call_stop(b, rid);
-                        self.res_index.remove(&(b, raw));
-                        self.handoffs.get_mut(&hid).expect("tracked").reservation =
-                            Reservation::Done;
-                        self.slog(
-                            b,
-                            at_h,
-                            &format!(
-                                "fedmsg  h{hid} abort -> reservation {rid} released (exact refund)"
-                            ),
-                        );
-                    }
-                    _ => {
-                        self.slog(b, at_h, &format!("fedmsg  h{hid} abort -> nothing held"));
-                    }
-                }
+                let held = self.handoffs[&hid].reservation;
+                self.touch(b, at_h, touched);
+                let core = &mut self.cores[b];
+                let (Reservation::Live(raw) | Reservation::Parked(raw)) = held else {
+                    core.log
+                        .push_args(at_h, format_args!("fedmsg  h{hid} abort -> nothing held"));
+                    return;
+                };
+                let rid = SessionId::from_raw(raw);
+                core.call_stop(rid);
+                core.log.push_args(
+                    at_h,
+                    format_args!(
+                        "fedmsg  h{hid} abort -> reservation {rid} released (exact refund)"
+                    ),
+                );
+                self.handoffs.get_mut(&hid).expect("tracked").reservation = Reservation::Done;
+                self.res_index.remove(&(b, raw));
             }
         }
     }
 
     /// Phase-2 commit on the destination: promote the reservation to
     /// ownership — or, when the lease already expired (partition-
-    /// -delayed commit), re-admit the session from its snapshot.
+    /// -delayed commit) or a destination recovery pass dropped it,
+    /// re-admit the session from its snapshot.
     fn deliver_commit(&mut self, hid: u64, at_h: f64, touched: &mut BTreeSet<usize>) {
-        let (b, req, reservation, departed, name, graph, qos, client_local) = {
-            let h = &self.handoffs[&hid];
-            (
-                h.dest,
-                h.req,
-                h.reservation,
-                h.departed,
-                h.name.clone(),
-                h.graph.clone(),
-                h.qos.clone(),
-                h.client_local,
-            )
-        };
-        self.advance(b, at_h);
+        let h = self.handoffs.get_mut(&hid).expect("tracked");
+        let (b, req, reservation, departed) = (h.dest, h.req, h.reservation, h.departed);
+        let client_local = h.client_local;
+        let (name, graph, qos) = (h.name.clone(), h.graph.clone(), h.qos.clone());
+        if !matches!(reservation, Reservation::None | Reservation::Done) {
+            h.reservation = Reservation::Done;
+            self.stats.handed_in[b] += 1;
+        }
+        let core = &mut self.cores[b];
         touched.insert(b);
-        match reservation {
+        core.advance(at_h);
+        let line = match reservation {
             Reservation::Live(raw) | Reservation::Parked(raw) => {
-                self.stats.handed_in[b] += 1;
                 let rid = SessionId::from_raw(raw);
                 self.res_index.remove(&(b, raw));
-                self.handoffs.get_mut(&hid).expect("tracked").reservation = Reservation::Done;
                 if departed {
-                    self.call_stop(b, rid);
-                    self.shards[b].report.completed += 1;
-                    self.directory.insert(req, Loc::Gone { shard: b });
-                    self.slog(
-                        b,
-                        at_h,
-                        &format!("fedmsg  h{hid} commit -> {rid} arrived, user already departed (completed)"),
-                    );
+                    core.call_stop(rid);
+                    core.shard.report.completed += 1;
+                    format!(
+                        "fedmsg  h{hid} commit -> {rid} arrived, user already departed (completed)"
+                    )
                 } else {
+                    core.track(req, rid);
                     let parked_tag = if matches!(reservation, Reservation::Parked(_)) {
                         " (parked)"
                     } else {
                         ""
                     };
-                    let shard = &mut self.shards[b];
-                    shard.active.insert(req, rid);
-                    shard.by_session.insert(rid, req);
-                    self.wals[b].push(|| WalRecord::Track { req, sid: raw });
-                    self.directory.insert(req, Loc::At { shard: b, id: rid });
-                    self.slog(
-                        b,
-                        at_h,
-                        &format!("fedmsg  h{hid} commit -> session {rid} now owned by shard{b}{parked_tag}"),
-                    );
+                    format!(
+                        "fedmsg  h{hid} commit -> session {rid} now owned by shard{b}{parked_tag}"
+                    )
                 }
             }
             Reservation::Expired | Reservation::Dead => {
-                self.stats.handed_in[b] += 1;
                 self.stats.late_commits += 1;
-                self.handoffs.get_mut(&hid).expect("tracked").reservation = Reservation::Done;
                 if departed {
-                    self.shards[b].report.completed += 1;
-                    self.directory.insert(req, Loc::Gone { shard: b });
-                    self.slog(
-                        b,
-                        at_h,
-                        &format!(
-                            "fedmsg  h{hid} commit -> lease expired, user departed (completed)"
-                        ),
-                    );
+                    core.shard.report.completed += 1;
+                    format!("fedmsg  h{hid} commit -> lease expired, user departed (completed)")
                 } else {
-                    let (id, parked) = self
-                        .admit(b, req, client_local, true, || {
-                            (name.clone(), graph.clone(), qos.clone())
-                        })
-                        .expect("a late commit parks on any failure");
-                    let line = if parked {
-                        self.shards[b].report.parked += 1;
-                        format!("fedmsg  h{hid} commit -> lease expired, parked on arrival as {id}")
-                    } else {
-                        format!("fedmsg  h{hid} commit -> lease expired, re-admitted as {id}")
-                    };
-                    self.slog(b, at_h, &line);
+                    // A late commit parks on any failure.
+                    match core.call_start(
+                        || name.clone(),
+                        graph.clone(),
+                        qos.clone(),
+                        client_local,
+                        None,
+                    ) {
+                        Ok(id) => {
+                            core.track(req, id);
+                            format!("fedmsg  h{hid} commit -> lease expired, re-admitted as {id}")
+                        }
+                        Err(e) => {
+                            let id = core.call_park(name, graph, qos, client_local, e);
+                            core.track(req, id);
+                            core.shard.report.parked += 1;
+                            format!(
+                                "fedmsg  h{hid} commit -> lease expired, parked on arrival as {id}"
+                            )
+                        }
+                    }
                 }
             }
+            // A declined reserve followed by a commit cannot happen
+            // (decide aborts on `Reserving`); log defensively.
             Reservation::None | Reservation::Done => {
-                // Declined reserve followed by a commit cannot happen
-                // (decide aborts on `Reserving`); log defensively.
-                self.slog(
-                    b,
-                    at_h,
-                    &format!("fedmsg  h{hid} commit -> nothing held (ignored)"),
-                );
+                format!("fedmsg  h{hid} commit -> nothing held (ignored)")
             }
-        }
-    }
-
-    /// Folds a recovery report into shard `s`'s bookkeeping (the
-    /// serial `absorb_recovery`, made reservation-aware).
-    fn absorb(&mut self, s: usize, rec: &RecoveryReport) -> (String, Vec<u64>) {
-        fed_absorb(
-            rec,
-            s,
-            &mut self.shards[s],
-            &mut self.directory,
-            &mut self.handoffs,
-            &mut self.res_index,
-        )
-    }
-
-    /// The serial per-event epilogue for one touched shard: retry
-    /// drain, invariant sweep (stride-gated per shard), and detector
-    /// soundness. Ends the WAL's per-event record group with a `Mark`
-    /// (coalescing every aggregate counter mutated since the last one)
-    /// and takes a snapshot checkpoint when the tail is long enough.
-    fn finish_event(&mut self, s: usize, at_h: f64) -> Result<(), InvariantViolation> {
-        let result = self.finish_event_inner(s, at_h);
-        if result.is_ok() {
-            self.wal_mark(s);
-            if self.wals[s].due_checkpoint() {
-                self.wals[s].checkpoint(&self.shards[s]);
-            }
-        }
-        result
-    }
-
-    fn finish_event_inner(&mut self, s: usize, at_h: f64) -> Result<(), InvariantViolation> {
-        if let Some(tail) = self.call_retries(s) {
-            self.slog(s, at_h, &format!("retry   parked queue -> {tail}"));
-        }
-        let shard = &mut self.shards[s];
-        shard.iterations += 1;
-        let stride = shard.cfg.invariant_stride.max(1) as u64;
-        if !shard.iterations.is_multiple_of(stride) {
-            return Ok(());
-        }
-        let event_line = self.logs[s].lines().last().cloned().unwrap_or_default();
-        shard.report.invariant_checks += 1;
-        let observed: BTreeSet<usize> = if self.imperfect {
-            shard.server.suspected_devices().clone()
-        } else {
-            shard.down.clone()
         };
-        if let Err(violation) = check_invariants(&shard.server, &observed) {
-            return Err(InvariantViolation {
-                at_h_milli: (at_h * 1000.0).round() as u64,
-                event: event_line,
-                violation,
-            });
+        core.log.push(at_h, &line);
+        if !matches!(reservation, Reservation::None | Reservation::Done) {
+            self.directory.insert(req, Loc::At(b));
         }
-        if self.imperfect && at_h <= self.hb_end_h + 1e-9 {
-            let lag = shard.cfg.detection_grace_h + shard.cfg.heartbeat_period_h + 1e-6;
-            for (&d, &since) in &shard.det.unreachable_since {
-                if at_h > since + lag && !shard.server.is_suspected(DeviceId::from_index(d)) {
-                    return Err(InvariantViolation {
-                        at_h_milli: (at_h * 1000.0).round() as u64,
-                        event: event_line,
-                        violation: format!(
-                            "detector unsound: dev{d} unreachable since t={since:.4}h \
-                             still unsuspected at t={at_h:.4}h (grace {:.4}h)",
-                            shard.cfg.detection_grace_h
-                        ),
-                    });
-                }
-            }
-        }
-        Ok(())
     }
 
-    /// The serial end-of-campaign phase, per shard in index order:
-    /// final anti-entropy sweep and convergence drain (imperfect mode),
-    /// then report finalization. Also asserts the federation reached a
-    /// quiescent state: no undelivered messages, every handoff
-    /// terminal, no reservation still indexed. This phase runs after
-    /// the last event — no crash can follow it — so it calls the shard
-    /// servers directly, unjournaled.
+    /// The end-of-campaign phase: asserts the federation reached a
+    /// quiescent state — no undelivered messages, every handoff
+    /// terminal, no reservation still indexed — then runs the shard
+    /// core's final sweep, convergence drain, and report finalization
+    /// per shard in index order.
     fn finalize_shards(&mut self) -> Result<(), InvariantViolation> {
         assert!(
             self.pending.is_empty(),
@@ -2866,86 +2245,35 @@ impl<'a> Engine<'a> {
             self.res_index.is_empty(),
             "no reservation outlives its handoff"
         );
-        for s in 0..self.shards.len() {
-            if self.imperfect {
-                for d in 0..self.sizes[s] {
-                    let shard = &self.shards[s];
-                    let unreachable = shard.down.contains(&d) || shard.det.partition_depth[d] > 0;
-                    if unreachable && !shard.server.is_suspected(DeviceId::from_index(d)) {
-                        let shard = &mut self.shards[s];
-                        shard.report.suspicions += 1;
-                        if !shard.down.contains(&d) {
-                            shard.report.false_suspected += 1;
-                        }
-                        let rec = shard.server.suspect_many(&[DeviceId::from_index(d)]);
-                        count_pass(&rec, &mut shard.report);
-                        let (tail, _) = self.absorb(s, &rec);
-                        let last_h = self.shards[s].last_h;
-                        self.slog(
-                            s,
-                            last_h,
-                            &format!("detect  suspect dev{d} (final sweep) -> {tail}"),
-                        );
-                    }
-                }
-                while self.shards[s].server.parked_count() > 0 {
-                    let shard = &mut self.shards[s];
-                    let next_ms = shard
-                        .server
-                        .parked_sessions()
-                        .map(|(_, p)| p.next_retry_ms)
-                        .fold(f64::INFINITY, f64::min);
-                    if next_ms > shard.server.now_ms() {
-                        let delta_s = (next_ms - shard.server.now_ms()) / 1000.0;
-                        shard.server.play(delta_s);
-                    }
-                    let rec = shard.server.process_retries();
-                    let drain_h = shard.server.now_ms() / 3_600_000.0;
-                    let (tail, _) = self.absorb(s, &rec);
-                    self.slog(s, drain_h, &format!("drain   parked queue -> {tail}"));
-                    let shard = &mut self.shards[s];
-                    shard.last_h = shard.last_h.max(drain_h);
-                    shard.report.invariant_checks += 1;
-                    let observed: BTreeSet<usize> = shard.server.suspected_devices().clone();
-                    if let Err(violation) = check_invariants(&shard.server, &observed) {
-                        return Err(InvariantViolation {
-                            at_h_milli: (drain_h * 1000.0).round() as u64,
-                            event: "drain   parked queue".to_owned(),
-                            violation,
-                        });
-                    }
-                }
-            }
-            let shard = &mut self.shards[s];
-            shard.report.live_at_end = shard.server.session_count() as u32;
-            shard.report.parked_at_end = shard.server.parked_count() as u32;
-            shard.report.stale_views = shard.server.stale_view_count() as u32;
-            shard.report.log_digest = self.logs[s].digest();
+        for core in &mut self.cores {
+            core.finalize()?;
+            debug_assert!(core.custody.is_empty(), "no reservation is left to sweep");
         }
         Ok(())
     }
 
     /// Consumes the engine into the outcome.
-    fn finish(mut self) -> FederationOutcome {
-        self.stats.wal_records = self.wals.iter().map(|w| w.appended).sum();
+    fn finish(self) -> FederationOutcome {
+        let wals = self.cores.iter().map(|c| &c.wal);
+        let mut stats = self.stats;
+        stats.wal_records = wals.clone().map(|w| w.appended).sum();
         debug_assert_eq!(
-            self.stats.wal_replayed,
-            self.wals.iter().map(|w| w.replayed).sum::<u64>(),
+            stats.wal_replayed,
+            wals.clone().map(|w| w.replayed).sum::<u64>(),
             "per-crash replay accounting matches the WALs' own"
         );
         debug_assert_eq!(
-            self.stats.snapshot_restores,
-            self.wals.iter().map(|w| w.restores).sum::<u64>(),
+            stats.snapshot_restores,
+            wals.map(|w| w.restores).sum::<u64>(),
             "per-crash restore accounting matches the WALs' own"
         );
         let shards: Vec<ShardOutcome> = self
-            .shards
+            .cores
             .into_iter()
-            .zip(self.logs)
-            .map(|(sh, log)| ShardOutcome {
-                stages: sh.server.stage_times(),
-                report: sh.report,
-                log,
+            .map(|core| ShardOutcome {
+                stages: core.shard.server.stage_times(),
+                report: core.shard.report,
+                log: core.log,
             })
             .collect();
         let mut bytes = Vec::with_capacity(shards.len() * 8);
@@ -2955,7 +2283,7 @@ impl<'a> Engine<'a> {
         let combined_digest = fnv1a(&bytes);
         let outcome = FederationOutcome {
             shards,
-            stats: self.stats,
+            stats,
             combined_digest,
         };
         debug_assert!(
@@ -2978,96 +2306,10 @@ fn probe_type(graph_index: usize) -> &'static str {
         "wav-source"
     }
 }
-
-/// The serial `absorb_recovery`, extended with reservation custody: a
-/// reserved session swept up by a destination-side recovery pass is
-/// re-tagged on its handoff (parked / re-admitted / dead) instead of
-/// entering the shard's fate ledger — it is not owned here until its
-/// commit arrives. The rendered tail is byte-identical to the serial
-/// harness (at one shard no reservations exist, so the counters match
-/// exactly too).
-fn fed_absorb(
-    rec: &RecoveryReport,
-    s: usize,
-    shard: &mut Shard,
-    directory: &mut BTreeMap<usize, Loc>,
-    handoffs: &mut BTreeMap<u64, Handoff>,
-    res_index: &mut BTreeMap<(usize, u64), u64>,
-) -> (String, Vec<u64>) {
-    assert_eq!(
-        rec.dropped.len(),
-        rec.drop_errors.len(),
-        "every drop carries the error witnessing unplaceability"
-    );
-    let mut res_dropped = 0usize;
-    // Session ids untracked from the shard maps, in order — the WAL
-    // records them so replay repeats exactly this untracking without
-    // consulting the (crash-surviving, engine-level) reservation index.
-    let mut removed: Vec<u64> = Vec::new();
-    for (id, (witness_id, _)) in rec.dropped.iter().zip(&rec.drop_errors) {
-        assert_eq!(id, witness_id, "drop witnesses line up");
-        if let Some(hid) = res_index.remove(&(s, id.raw())) {
-            handoffs
-                .get_mut(&hid)
-                .expect("indexed handoff exists")
-                .reservation = Reservation::Dead;
-            res_dropped += 1;
-            continue;
-        }
-        let req = shard
-            .by_session
-            .remove(id)
-            .expect("dropped sessions were tracked");
-        shard.active.remove(&req);
-        removed.push(id.raw());
-        directory.insert(req, Loc::Gone { shard: s });
-    }
-    let mut res_parked = 0usize;
-    for id in &rec.parked {
-        if let Some(&hid) = res_index.get(&(s, id.raw())) {
-            handoffs
-                .get_mut(&hid)
-                .expect("indexed handoff exists")
-                .reservation = Reservation::Parked(id.raw());
-            res_parked += 1;
-        }
-    }
-    let mut res_readmitted = 0usize;
-    for id in &rec.readmitted {
-        if let Some(&hid) = res_index.get(&(s, id.raw())) {
-            handoffs
-                .get_mut(&hid)
-                .expect("indexed handoff exists")
-                .reservation = Reservation::Live(id.raw());
-            res_readmitted += 1;
-        }
-    }
-    shard.report.replacements += rec.replacements() as u32;
-    shard.report.degraded += rec.degraded.len() as u32;
-    shard.report.parked += (rec.parked.len() - res_parked) as u32;
-    shard.report.readmitted += (rec.readmitted.len() - res_readmitted) as u32;
-    shard.report.dropped += (rec.dropped.len() - res_dropped) as u32;
-    let mut tail = format!(
-        "re-placed {} ({} degraded), parked {}, readmitted {}, dropped {}; affected {}/{}",
-        rec.replacements(),
-        rec.degraded.len(),
-        rec.parked.len(),
-        rec.readmitted.len(),
-        rec.dropped.len(),
-        rec.affected,
-        rec.considered,
-    );
-    for (id, err) in &rec.drop_errors {
-        let _ = write!(tail, "; {id} unplaceable ({err})");
-    }
-    (tail, removed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::durability::shard_fingerprint;
-    use crate::faults::run_fault_campaign_with;
     use proptest::prelude::*;
 
     fn small_cfg(shards: usize) -> FederationConfig {
@@ -3119,36 +2361,6 @@ mod tests {
         assert_eq!(engine.delivery_time(0, 1, 1.05), 1.1);
         assert_eq!(engine.delivery_time(1, 0, 1.05), 1.1);
         assert_eq!(engine.delivery_time(0, 1, 1.2), 1.2);
-    }
-
-    #[test]
-    fn one_shard_is_byte_identical_to_serial_reference() {
-        let cfg = small_cfg(1);
-        let schedule = cfg.schedule();
-        let fed = run_federation_campaign_with(&cfg, &schedule).expect("federated run");
-        let serial = run_fault_campaign_with(&cfg.base, &schedule).expect("serial run");
-        assert_eq!(fed.shards.len(), 1);
-        assert_eq!(
-            fed.shards[0].log.render(),
-            serial.log.render(),
-            "1-shard log must be byte-identical to the serial DES reference"
-        );
-        assert_eq!(fed.shards[0].report, serial.report);
-        assert_eq!(fed.stats.handoffs_initiated, 0, "no cross-shard traffic");
-        assert_eq!(fed.stats.messages, 0);
-        assert!(fed.fates_balance());
-    }
-
-    #[test]
-    fn one_shard_is_byte_identical_under_imperfect_detection() {
-        let mut cfg = small_cfg(1);
-        cfg.base.detection_grace_h = 0.05;
-        cfg.base.partitions = 1;
-        let schedule = cfg.schedule();
-        let fed = run_federation_campaign_with(&cfg, &schedule).expect("federated run");
-        let serial = run_fault_campaign_with(&cfg.base, &schedule).expect("serial run");
-        assert_eq!(fed.shards[0].log.render(), serial.log.render());
-        assert_eq!(fed.shards[0].report, serial.report);
     }
 
     #[test]
@@ -3258,20 +2470,20 @@ mod tests {
             let schedule = cfg.schedule();
             let mut engine = Engine::new(&cfg, schedule, Box::new(ChannelTransport::new(2)));
             engine.run_events().expect("run");
-            for s in 0..cfg.shards {
-                let wal = &engine.wals[s];
+            for (s, core) in engine.cores.iter().enumerate() {
+                let wal = &core.wal;
                 let len = wal.tail.len();
                 prop_assert!(len > 0, "shard {s} journaled nothing");
                 for frac in [frac_a, frac_b, 1.0] {
                     let n = (((len + 1) as f64) * frac) as usize;
                     let n = n.min(len);
-                    let once = shard_fingerprint(&wal.replay_prefix(engine.grace_ms, n));
-                    let twice = shard_fingerprint(&wal.replay_prefix(engine.grace_ms, n));
+                    let once = shard_fingerprint(&wal.replay_prefix(core.grace_ms, n));
+                    let twice = shard_fingerprint(&wal.replay_prefix(core.grace_ms, n));
                     prop_assert!(once == twice, "prefix replay diverged at {n}/{len} on shard {s}");
                 }
                 // The full prefix reconstructs the live shard exactly.
-                let full = wal.replay_prefix(engine.grace_ms, len);
-                assert_recovered_equal(&engine.shards[s], &full, s);
+                let full = wal.replay_prefix(core.grace_ms, len);
+                assert_recovered_equal(&core.shard, &full, s);
             }
         }
     }
@@ -3280,7 +2492,9 @@ mod tests {
     fn owner_maps_contiguous_blocks() {
         let cfg = small_cfg(2);
         let engine = Engine::new(&cfg, Vec::new(), Box::new(ChannelTransport::new(2)));
-        assert_eq!(engine.sizes, vec![3, 3]);
+        let sizes =
+            |e: &Engine| -> Vec<usize> { e.cores.iter().map(|c| c.shard.cfg.devices).collect() };
+        assert_eq!(sizes(&engine), vec![3, 3]);
         assert_eq!(engine.offsets, vec![0, 3]);
         for g in 0..6 {
             assert_eq!(engine.owner(g), g / 3);
@@ -3290,7 +2504,7 @@ mod tests {
         cfg7.base.devices = 7;
         cfg7.mobility.devices = 7;
         let e7 = Engine::new(&cfg7, Vec::new(), Box::new(ChannelTransport::new(3)));
-        assert_eq!(e7.sizes, vec![3, 2, 2]);
+        assert_eq!(sizes(&e7), vec![3, 2, 2]);
         assert_eq!(e7.candidates[0], vec![1, 2]);
         assert_eq!(e7.candidates[2], vec![0, 1]);
     }

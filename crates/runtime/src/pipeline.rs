@@ -66,9 +66,11 @@
 //!
 //! # Relation to the federated runtime
 //!
-//! [`crate::federation`] scales the *other* axis: instead of
-//! overlapping stages of one domain's admission loop, it shards the
-//! domain itself across servers and serializes *cross-shard* effects
+//! Both runtimes drive the same shard core (see [`crate::faults`]):
+//! this loop runs one core over the whole space and only adds batching
+//! and speculation. [`crate::federation`] scales the *other* axis:
+//! instead of overlapping stages of one domain's admission loop, it
+//! runs one core per shard and serializes *cross-shard* effects
 //! through the same `(virtual time, sequence number)` total order this
 //! module uses for commits. The two runtimes also share the
 //! [`crate::profiler::StageTimes`] queue-wait accounting — here the
@@ -80,12 +82,12 @@
 
 use crate::domain_server::DomainServer;
 use crate::faults::{
-    app_template, campaign_schedule, run_fault_campaign_impl, splitmix64, CampaignEvent,
-    CampaignOutcome, FaultCampaignConfig, InvariantViolation,
+    app_template, campaign_schedule, client_draw, run_fault_campaign_impl, CampaignEvent,
+    CampaignOutcome, FaultCampaignConfig, InvariantViolation, ShardCore,
 };
 use crate::overhead::ConfigOverhead;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use ubiqos::{Configuration, ConfigureError};
 use ubiqos_graph::{AbstractServiceGraph, DeviceId};
 use ubiqos_model::QosVector;
@@ -167,22 +169,22 @@ impl SpecTable {
     /// entry is dropped before it could be adopted.
     pub(crate) fn prime<'e>(
         &mut self,
-        server: &DomainServer,
+        core: &ShardCore,
         pl: &PipelineConfig,
-        cfg: &FaultCampaignConfig,
         trace: &[Request],
-        down: &BTreeSet<usize>,
         events: impl Iterator<Item = &'e CampaignEvent>,
     ) {
         self.stats.batches += 1;
-        let up: Vec<usize> = (0..cfg.devices).filter(|d| !down.contains(d)).collect();
+        let up: Vec<usize> = core.up_devices().collect();
         let mut missing: Vec<(usize, usize)> = Vec::new();
         for ev in events {
             let CampaignEvent::Arrival(i) = *ev else {
                 continue;
             };
-            let client = up[(splitmix64(cfg.seed ^ i as u64) % up.len() as u64) as usize];
-            let key = (trace[i].graph_index, client);
+            let key = (
+                trace[i].graph_index,
+                client_draw(core.shard.cfg.seed, i, &up),
+            );
             if !self.entries.contains_key(&key) && !missing.contains(&key) {
                 missing.push(key);
             }
@@ -198,6 +200,7 @@ impl SpecTable {
         let workers = pl
             .threads
             .min(std::thread::available_parallelism().map_or(1, |n| n.get()));
+        let server = &core.shard.server;
         let results = par_map_threads(workers, &missing, |_, &(graph_index, client)| {
             let (_, graph) = app_template(graph_index);
             server.speculate_configure(

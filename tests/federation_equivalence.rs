@@ -4,10 +4,12 @@
 //! Three layers of evidence that sharding never changes behaviour, only
 //! who does the work:
 //!
-//! * **Serial reference** — at one shard the federated engine must be
-//!   *byte-identical* to the serial DES loop (`run_fault_campaign_with`)
-//!   on the identical merged schedule: same event log bytes, same
-//!   report, under perfect and imperfect detection alike.
+//! * **Serial reference** — the serial loop, the batched loop, and the
+//!   federated engine at one shard drive the same shard core, so on the
+//!   identical merged schedule all three must be *byte-identical*: same
+//!   event log bytes, same report, under perfect and imperfect
+//!   detection, strict and staged recovery, strided invariant sweeps,
+//!   and portfolio placement alike.
 //! * **Digest pins** — at 2, 4, and 8 shards the per-shard event-log
 //!   digests are pinned. The split is part of the observable contract:
 //!   any change to the federation protocol, the ordering rule, or the
@@ -22,8 +24,9 @@
 //!   digest-identical.
 
 use ubiqos_runtime::{
-    run_fault_campaign_with, run_federation_campaign_with, FaultCampaignConfig, FederationConfig,
-    FederationOutcome, ShardPartition,
+    run_fault_campaign_batched_with, run_fault_campaign_with, run_federation_campaign_with,
+    CampaignOutcome, FaultCampaignConfig, FederationConfig, FederationOutcome, PipelineConfig,
+    PlacementStrategy, ShardPartition,
 };
 use ubiqos_sim::MobilityWaveConfig;
 
@@ -86,38 +89,125 @@ fn assert_ledgers(out: &FederationOutcome, requests: usize) {
     assert_eq!(forwarded_in, forwarded_out);
 }
 
-#[test]
-fn one_shard_is_byte_identical_to_the_serial_des_reference() {
-    let cfg = pin_cfg(1);
+/// The small mobility-heavy campaign the 1-shard contract was first
+/// pinned on: 6 devices, 48 requests, 10 faults, two mobility waves.
+fn small_cfg() -> FederationConfig {
+    FederationConfig {
+        base: FaultCampaignConfig {
+            devices: 6,
+            requests: 48,
+            horizon_h: 12.0,
+            faults: 10,
+            ..FaultCampaignConfig::default()
+        },
+        shards: 1,
+        mobility: MobilityWaveConfig {
+            moves: 10,
+            waves: 2,
+            horizon_h: 12.0,
+            devices: 6,
+            ..MobilityWaveConfig::default()
+        },
+        ..FederationConfig::default()
+    }
+}
+
+/// Runs `cfg`'s base campaign on its merged schedule through all three
+/// runtimes of the shard core — serial, batched (`batch_size: 8`, two
+/// threads), and the 1-shard federated engine — and asserts the event
+/// logs are byte-identical and the reports equal. Returns the serial
+/// outcome.
+fn assert_three_runtimes_agree(cfg: &FederationConfig, what: &str) -> CampaignOutcome {
+    assert_eq!(cfg.shards, 1, "{what}: the contract is about one shard");
     let schedule = cfg.schedule();
-    let fed = run_federation_campaign_with(&cfg, &schedule).expect("federated run");
     let serial = run_fault_campaign_with(&cfg.base, &schedule).expect("serial run");
+    let batched = run_fault_campaign_batched_with(
+        &cfg.base,
+        &schedule,
+        &PipelineConfig {
+            batch_size: 8,
+            threads: 2,
+        },
+    )
+    .expect("batched run");
+    let fed = run_federation_campaign_with(cfg, &schedule).expect("federated run");
+    assert_eq!(
+        batched.log.render(),
+        serial.log.render(),
+        "{what}: the batched event log must be byte-identical to the serial loop"
+    );
+    assert_eq!(batched.report, serial.report, "{what}: batched report");
     assert_eq!(
         fed.shards[0].log.render(),
         serial.log.render(),
-        "the 1-shard event log must be byte-identical to the serial loop"
+        "{what}: the 1-shard event log must be byte-identical to the serial loop"
     );
-    assert_eq!(fed.shards[0].report, serial.report);
-    assert_eq!(fed.shards[0].report.log_digest, serial.report.log_digest);
-    assert_eq!(fed.stats.messages, 0, "one shard never talks to itself");
+    assert_eq!(
+        fed.shards[0].report, serial.report,
+        "{what}: 1-shard report"
+    );
+    assert_eq!(
+        fed.stats.messages, 0,
+        "{what}: one shard never talks to itself"
+    );
+    assert_eq!(
+        fed.stats.handoffs_initiated, 0,
+        "{what}: no cross-shard traffic"
+    );
     assert_ledgers(&fed, cfg.base.requests);
+    serial
+}
+
+#[test]
+fn one_shard_is_byte_identical_to_the_serial_des_reference() {
+    let strict = |mut cfg: FederationConfig| {
+        cfg.base.staged_recovery = false;
+        cfg
+    };
+    let strided = |mut cfg: FederationConfig| {
+        cfg.base.invariant_stride = 3;
+        cfg
+    };
+    let portfolio = |mut cfg: FederationConfig| {
+        cfg.base.placement = PlacementStrategy::Portfolio { warm_start: true };
+        cfg
+    };
+    let inputs = [
+        ("pinned campaign", pin_cfg(1)),
+        ("small mobility campaign", small_cfg()),
+        ("strict recovery", strict(pin_cfg(1))),
+        ("strict recovery, small", strict(small_cfg())),
+        ("invariant stride 3", strided(pin_cfg(1))),
+        ("portfolio placement", portfolio(pin_cfg(1))),
+    ];
+    for (what, cfg) in &inputs {
+        let serial = assert_three_runtimes_agree(cfg, what);
+        assert!(serial.report.admitted > 0, "{what}: sessions were admitted");
+    }
 }
 
 #[test]
 fn one_shard_stays_byte_identical_under_imperfect_detection() {
-    let mut cfg = pin_cfg(1);
-    cfg.base.detection_grace_h = 0.5;
-    cfg.base.partitions = 2;
-    cfg.base.heartbeat_loss = 0.1;
-    let schedule = cfg.schedule();
-    let fed = run_federation_campaign_with(&cfg, &schedule).expect("federated run");
-    let serial = run_fault_campaign_with(&cfg.base, &schedule).expect("serial run");
-    assert_eq!(fed.shards[0].log.render(), serial.log.render());
-    assert_eq!(fed.shards[0].report, serial.report);
-    assert!(
-        serial.report.suspicions > 0,
-        "the imperfect variant must actually exercise the detector"
-    );
+    let mut pinned = pin_cfg(1);
+    pinned.base.detection_grace_h = 0.5;
+    pinned.base.partitions = 2;
+    pinned.base.heartbeat_loss = 0.1;
+    let mut small = small_cfg();
+    small.base.detection_grace_h = 0.05;
+    small.base.partitions = 1;
+    let mut strict = pinned.clone();
+    strict.base.staged_recovery = false;
+    for (what, cfg) in [
+        ("pinned campaign", &pinned),
+        ("small mobility campaign", &small),
+        ("strict recovery", &strict),
+    ] {
+        let serial = assert_three_runtimes_agree(cfg, what);
+        assert!(
+            serial.report.suspicions > 0,
+            "{what}: the imperfect variant must actually exercise the detector"
+        );
+    }
 }
 
 /// The per-shard digest pins. Any change to the federation protocol,

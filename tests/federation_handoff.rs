@@ -15,7 +15,12 @@
 //!   lease expiry releases the orphaned reservation exactly;
 //! * commit deferred past the lease (**late commit**) → the destination
 //!   re-admits the handed-over session rather than double-charging the
-//!   expired reservation.
+//!   expired reservation;
+//! * a device crash on the destination **inside the reservation
+//!   window** → the recovery pass sweeps up the reservation, which the
+//!   destination does not own yet: a dropped one commits late, a parked
+//!   one commits as parked, and a shard crash after the device crash
+//!   replays the same decision.
 //!
 //! The invariant under test everywhere: the session lands parked,
 //! committed, or kept — **never duplicated and never leaked** — and
@@ -261,4 +266,107 @@ fn clean_commit_transfers_custody_exactly_once() {
     // Determinism of the directed scenario itself.
     let again = run_federation_campaign_with(&s.cfg, &s.schedule).expect("replay");
     assert_eq!(out.shard_digests(), again.shard_digests());
+}
+
+/// `stage()` plus a crash of the destination's first device — the
+/// reservation's pinned client — inside the reservation window: after
+/// the reserve at `move_t`, before the decide at `move_t + 0.02h`. The
+/// destination's recovery pass sweeps up a session it does not own yet.
+fn stage_with_reserved_device_crash(staged_recovery: bool) -> Stage {
+    let mut s = stage();
+    s.cfg.base.staged_recovery = staged_recovery;
+    s.schedule.push(TimedFault {
+        at_h: s.move_t + 0.01,
+        kind: FaultKind::Crash { device: s.dst * 2 },
+    });
+    s
+}
+
+/// Shard `dst`'s transcript line for the handoff's commit.
+fn commit_line(out: &FederationOutcome, dst: usize) -> String {
+    out.shards[dst]
+        .log
+        .lines()
+        .iter()
+        .find(|l| l.contains("commit ->"))
+        .expect("the destination logs the commit")
+        .clone()
+}
+
+#[test]
+fn reservation_dropped_by_a_destination_crash_takes_the_late_commit_path() {
+    // Strict recovery cannot re-place the reservation off its crashed
+    // client device, so the pass drops it. The drop is reservation
+    // custody, not a tracked session: the handoff is re-tagged dead and
+    // the commit re-admits from the snapshot instead.
+    let s = stage_with_reserved_device_crash(false);
+    let out = run_federation_campaign_with(&s.cfg, &s.schedule).expect("campaign");
+    assert_eq!(out.stats.handoffs_committed, 1);
+    assert_eq!(
+        out.stats.late_commits, 1,
+        "the dead reservation commits late"
+    );
+    assert_eq!(out.stats.reservation_expiries, 0);
+    assert_eq!(
+        out.shards[s.dst].report.dropped, 0,
+        "the dropped reservation is not the destination's session yet"
+    );
+    assert!(
+        commit_line(&out, s.dst).contains("lease expired"),
+        "{}",
+        commit_line(&out, s.dst)
+    );
+    assert_exactly_one_session(&out);
+}
+
+#[test]
+fn reservation_parked_by_a_destination_crash_commits_as_parked() {
+    // Staged recovery parks the reservation instead. The destination
+    // does not count that park — it does not own the session until the
+    // commit — and the commit promotes it tagged as parked.
+    let s = stage_with_reserved_device_crash(true);
+    let out = run_federation_campaign_with(&s.cfg, &s.schedule).expect("campaign");
+    assert_eq!(out.stats.handoffs_committed, 1);
+    assert_eq!(out.stats.late_commits, 0);
+    assert_eq!(
+        out.shards[s.dst].report.parked, 0,
+        "the parked reservation is not counted by the destination"
+    );
+    let line = commit_line(&out, s.dst);
+    assert!(line.ends_with(" (parked)"), "{line}");
+    assert_exactly_one_session(&out);
+}
+
+#[test]
+fn shard_crash_after_the_device_crash_replays_the_same_custody_decision() {
+    // The destination shard crashes and restarts between the device
+    // crash and the decide, so recovery replays the journaled device
+    // fault against a snapshot that holds the reservation untracked.
+    // The replayed absorb must reach the live custody decision: the
+    // rebuild equals the live shard and the transcripts do not move.
+    for staged_recovery in [false, true] {
+        let s = stage_with_reserved_device_crash(staged_recovery);
+        let baseline = run_federation_campaign_with(&s.cfg, &s.schedule).expect("crash-free");
+        let mut schedule = s.schedule.clone();
+        schedule.push(TimedFault {
+            at_h: s.move_t + 0.012,
+            kind: FaultKind::ShardCrash { shard: s.dst },
+        });
+        schedule.push(TimedFault {
+            at_h: s.move_t + 0.015,
+            kind: FaultKind::ShardRestart { shard: s.dst },
+        });
+        let crashed = run_federation_campaign_with(&s.cfg, &schedule).expect("crashed");
+        assert_eq!(crashed.stats.shard_crashes, 1);
+        assert!(
+            crashed.stats.wal_replayed > 0,
+            "recovery replayed the journal"
+        );
+        assert_eq!(
+            crashed.shard_digests(),
+            baseline.shard_digests(),
+            "staged_recovery = {staged_recovery}"
+        );
+        assert_exactly_one_session(&crashed);
+    }
 }
