@@ -58,6 +58,12 @@ impl BandwidthMatrix {
         self.upper[idx] = mbps;
     }
 
+    /// The bandwidth of every unordered pair `i < j`, in
+    /// [`BandwidthMatrix::pairs`] order, as one slice.
+    pub fn packed(&self) -> &[f64] {
+        &self.upper
+    }
+
     /// Iterates over `(i, j, bandwidth)` for every unordered pair `i < j`.
     pub fn pairs(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
         (0..self.n).flat_map(move |i| ((i + 1)..self.n).map(move |j| (i, j, self.get(i, j))))

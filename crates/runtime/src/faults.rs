@@ -24,6 +24,12 @@
 //!   unplaceable when its retry budget ran out, and session fates balance
 //!   exactly (admitted = completed + dropped + live + parked).
 //!
+//! The per-event sweep reads the domain server's incremental charge
+//! ledger (`crate::ledger`) instead of re-walking every live session
+//! graph; [`check_invariants`] re-derives everything from scratch and
+//! stays the oracle the ledger check must agree with — at every check
+//! in debug builds, every 64th in release, and always at the end.
+//!
 //! Recovery runs the staged degrade → park → retry → drop pipeline of
 //! [`crate::recovery`]: sessions untouched by a fault keep their
 //! placement (incremental re-placement, O(affected) per fault), affected
@@ -116,6 +122,16 @@ const FAULT_STREAM_SALT: u64 = 0x5eed_fa17_0000_0001;
 
 /// Numerical slack for conservation checks (charges are f64 sums).
 const EPS: f64 = 1e-6;
+
+/// Every how many invariant checks a release build re-runs the
+/// from-scratch [`check_invariants`] next to the ledger check and
+/// compares the two verdicts. Debug and unit-test builds compare at
+/// every check.
+pub(crate) const ORACLE_STRIDE: u32 = if cfg!(any(debug_assertions, test)) {
+    1
+} else {
+    64
+};
 
 /// Slack for "has this instant passed" comparisons on event times.
 pub(crate) const TIME_EPS: f64 = 1e-9;
@@ -573,6 +589,27 @@ impl Shard {
             let _ = write!(tail, "; {id} unplaceable ({err})");
         }
         (tail, removed)
+    }
+
+    /// The invariant sweep against the devices the control plane
+    /// treats as down (the suspected set under imperfect detection,
+    /// ground truth otherwise): the incremental ledger check, and with
+    /// `oracle` the from-scratch [`check_invariants`] too, which must
+    /// return the same result.
+    pub(crate) fn sweep(&mut self, oracle: bool) -> Result<(), String> {
+        let down = self.cfg.perfect_detection().then_some(&self.down);
+        let verdict = self.server.check_ledger(down);
+        if oracle {
+            let observed = down.unwrap_or(self.server.suspected_devices());
+            let truth = check_invariants(&self.server, observed);
+            if truth != verdict {
+                return Err(format!(
+                    "invariant ledger diverged from check_invariants: \
+                     ledger {verdict:?}, oracle {truth:?}"
+                ));
+            }
+        }
+        verdict
     }
 }
 
@@ -1036,22 +1073,17 @@ impl ShardCore {
         {
             return Ok(());
         }
-        // Cloned lazily: only checked iterations pay for the context.
-        let event_line = self.log.lines().last().cloned().unwrap_or_default();
         shard.report.invariant_checks += 1;
-        let imperfect = !shard.cfg.perfect_detection();
-        let observed = if imperfect {
-            shard.server.suspected_devices().clone()
-        } else {
-            shard.down.clone()
-        };
+        let oracle = shard.report.invariant_checks.is_multiple_of(ORACLE_STRIDE);
+        let log = &self.log;
+        // Only a failed check pays for the context.
         let violation = |violation| InvariantViolation {
             at_h_milli: (at_h * 1000.0).round() as u64,
-            event: event_line.clone(),
+            event: log.lines().last().cloned().unwrap_or_default(),
             violation,
         };
-        check_invariants(&shard.server, &observed).map_err(violation)?;
-        if imperfect && detector_live {
+        shard.sweep(oracle).map_err(violation)?;
+        if !shard.cfg.perfect_detection() && detector_live {
             // Soundness after grace: once a device has been unreachable
             // longer than grace + one heartbeat period, some lease check
             // must have suspected it.
@@ -1111,15 +1143,24 @@ impl ShardCore {
                     .push_args(drain_h, format_args!("drain   parked queue -> {tail}"));
                 let shard = &mut self.shard;
                 shard.report.invariant_checks += 1;
-                check_invariants(&shard.server, shard.server.suspected_devices()).map_err(
-                    |violation| InvariantViolation {
-                        at_h_milli: (drain_h * 1000.0).round() as u64,
-                        event: "drain   parked queue".to_owned(),
-                        violation,
-                    },
-                )?;
+                shard.sweep(true).map_err(|violation| InvariantViolation {
+                    at_h_milli: (drain_h * 1000.0).round() as u64,
+                    event: "drain   parked queue".to_owned(),
+                    violation,
+                })?;
             }
         }
+        // The end state is always swept by both checkers, whatever the
+        // stride left unchecked (not counted: the count is the per-event
+        // sweeps').
+        let last_h = self.shard.last_h;
+        self.shard
+            .sweep(true)
+            .map_err(|violation| InvariantViolation {
+                at_h_milli: (last_h * 1000.0).round() as u64,
+                event: "finalize".to_owned(),
+                violation,
+            })?;
         let report = &mut self.shard.report;
         let server = &self.shard.server;
         report.live_at_end = server.session_count() as u32;

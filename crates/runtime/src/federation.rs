@@ -2164,9 +2164,14 @@ impl<'a> Engine<'a> {
             }
             Reservation::Expired | Reservation::Dead => {
                 self.stats.late_commits += 1;
+                let cause = if reservation == Reservation::Dead {
+                    "reservation dropped by recovery"
+                } else {
+                    "lease expired"
+                };
                 if departed {
                     core.shard.report.completed += 1;
-                    format!("fedmsg  h{hid} commit -> lease expired, user departed (completed)")
+                    format!("fedmsg  h{hid} commit -> {cause}, user departed (completed)")
                 } else {
                     // A late commit parks on any failure.
                     match core.call_start(
@@ -2178,15 +2183,13 @@ impl<'a> Engine<'a> {
                     ) {
                         Ok(id) => {
                             core.track(req, id);
-                            format!("fedmsg  h{hid} commit -> lease expired, re-admitted as {id}")
+                            format!("fedmsg  h{hid} commit -> {cause}, re-admitted as {id}")
                         }
                         Err(e) => {
                             let id = core.call_park(name, graph, qos, client_local, e);
                             core.track(req, id);
                             core.shard.report.parked += 1;
-                            format!(
-                                "fedmsg  h{hid} commit -> lease expired, parked on arrival as {id}"
-                            )
+                            format!("fedmsg  h{hid} commit -> {cause}, parked on arrival as {id}")
                         }
                     }
                 }

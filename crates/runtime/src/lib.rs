@@ -52,6 +52,7 @@ pub mod domain_server;
 pub mod durability;
 pub mod faults;
 pub mod federation;
+mod ledger;
 pub mod overhead;
 pub mod pipeline;
 pub mod profiler;

@@ -219,21 +219,23 @@ mod tests {
                 .build(),
         );
         let cut = Cut::from_assignment(&graph, vec![0], 1).unwrap();
+        let configuration = Configuration {
+            app: ComposedApplication {
+                graph,
+                report: OcReport::default(),
+                instances: Vec::new(),
+            },
+            cut,
+            cost: 0.0,
+        };
         Session {
             name: "t".into(),
             abstract_graph: ubiqos_graph::AbstractServiceGraph::new(),
             user_qos: QosVector::new(),
             client_device: DeviceId::from_index(0),
             domain: None,
-            configuration: Configuration {
-                app: ComposedApplication {
-                    graph,
-                    report: OcReport::default(),
-                    instances: Vec::new(),
-                },
-                cut,
-                cost: 0.0,
-            },
+            charges: crate::ledger::ChargeSummary::of(&configuration),
+            configuration,
             position_s: 0.0,
             degrade_factor: 1.0,
             overhead_log: Vec::new(),

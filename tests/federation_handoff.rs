@@ -311,10 +311,14 @@ fn reservation_dropped_by_a_destination_crash_takes_the_late_commit_path() {
         out.shards[s.dst].report.dropped, 0,
         "the dropped reservation is not the destination's session yet"
     );
+    let line = commit_line(&out, s.dst);
     assert!(
-        commit_line(&out, s.dst).contains("lease expired"),
-        "{}",
-        commit_line(&out, s.dst)
+        line.contains("commit -> reservation dropped by recovery, "),
+        "{line}"
+    );
+    assert!(
+        !line.contains("lease expired"),
+        "no lease expired, a recovery pass dropped the reservation: {line}"
     );
     assert_exactly_one_session(&out);
 }
