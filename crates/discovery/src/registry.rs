@@ -91,7 +91,7 @@ pub struct ServiceRegistry {
     /// Monotonic mutation counter; bumped by every register/unregister.
     epoch: u64,
     /// instance id → service type (O(log) unregister). Derived state —
-    /// not serialized, rebuilt lazily after deserialization.
+    /// not serialized, rebuilt on deserialization.
     by_id: BTreeMap<String, String>,
     /// hosting device index → instance ids pinned to it.
     by_host: BTreeMap<usize, BTreeSet<String>>,
@@ -115,8 +115,8 @@ pub struct ServiceRegistry {
 }
 
 /// Only the authoritative state (domains, instances, epoch) is
-/// serialized; indexes, changelog, and memo are derived and rebuilt on
-/// demand after deserialization.
+/// serialized; the indexes are derived and rebuilt on deserialization,
+/// and the changelog and memo start empty.
 impl Serialize for ServiceRegistry {
     fn to_value(&self) -> serde::Value {
         serde::Value::Object(vec![
@@ -142,7 +142,7 @@ impl Deserialize for ServiceRegistry {
             Some(v) => u64::from_value(v)?,
             None => 0,
         };
-        Ok(ServiceRegistry {
+        let mut registry = ServiceRegistry {
             domains,
             by_type,
             epoch,
@@ -150,7 +150,9 @@ impl Deserialize for ServiceRegistry {
             // revalidate fully.
             changelog_base: epoch,
             ..Default::default()
-        })
+        };
+        registry.rebuild_indexes();
+        Ok(registry)
     }
 }
 
@@ -309,31 +311,14 @@ impl ServiceRegistry {
             .collect()
     }
 
-    /// Whether the secondary indexes cover the current instance set. A
-    /// deserialized registry arrives with empty indexes (they are derived
-    /// state and not serialized); mutations rebuild them on first touch
-    /// and read accessors fall back to a scan until then.
-    fn indexes_fresh(&self) -> bool {
-        self.by_id.len() == self.instance_count()
-    }
-
-    /// Rebuilds every secondary index from `by_type` (post-deserialize).
+    /// Builds every secondary index from `by_type`, which a
+    /// deserialized registry arrives with alone.
     fn rebuild_indexes(&mut self) {
-        self.by_id.clear();
-        self.by_host.clear();
-        self.by_format.clear();
-        let descriptors: Vec<ServiceDescriptor> = self
-            .by_type
-            .values()
-            .flat_map(|bucket| bucket.iter().cloned())
-            .collect();
-        for d in &descriptors {
+        let by_type = std::mem::take(&mut self.by_type);
+        for d in by_type.values().flatten() {
             self.index_insert(d);
         }
-        // History before the rebuild is unknown; callers with older
-        // epochs must revalidate fully.
-        self.changelog.clear();
-        self.changelog_base = self.epoch;
+        self.by_type = by_type;
     }
 
     /// The media-format tokens a descriptor's prototype carries on its
@@ -399,9 +384,6 @@ impl ServiceRegistry {
     /// Registers a service instance. Re-registering the same
     /// `instance_id` replaces the previous descriptor.
     pub fn register(&mut self, descriptor: ServiceDescriptor) {
-        if !self.indexes_fresh() {
-            self.rebuild_indexes();
-        }
         // The same id may currently live under a *different* type.
         if let Some(old_type) = self.by_id.get(&descriptor.instance_id).cloned() {
             if old_type != descriptor.service_type {
@@ -428,9 +410,6 @@ impl ServiceRegistry {
     /// Removes an instance by id, returning it if it was registered.
     /// O(log) via the id index instead of scanning every type bucket.
     pub fn unregister(&mut self, instance_id: &str) -> Option<ServiceDescriptor> {
-        if !self.indexes_fresh() {
-            self.rebuild_indexes();
-        }
         let ty = self.by_id.get(instance_id)?.clone();
         let bucket = self.by_type.get_mut(&ty)?;
         let pos = bucket.iter().position(|d| d.instance_id == instance_id)?;
@@ -447,9 +426,6 @@ impl ServiceRegistry {
     /// the room and its devices went out of scope). Returns how many were
     /// removed.
     pub fn unregister_domain(&mut self, domain: DomainId) -> usize {
-        if !self.indexes_fresh() {
-            self.rebuild_indexes();
-        }
         let mut removed = 0;
         let mut changed_types: Vec<String> = Vec::new();
         let mut dropped: Vec<ServiceDescriptor> = Vec::new();
@@ -481,48 +457,28 @@ impl ServiceRegistry {
     /// what a crash must unregister — via the hosting index instead of a
     /// full instance scan. Ids are returned in ascending order.
     pub fn hosted_on(&self, device: usize) -> Vec<&ServiceDescriptor> {
-        if self.indexes_fresh() {
-            let Some(ids) = self.by_host.get(&device) else {
-                return Vec::new();
-            };
-            ids.iter().filter_map(|id| self.lookup(id)).collect()
-        } else {
-            // Deserialized registry, indexes not rebuilt yet: scan.
-            self.instances()
-                .filter(|d| d.prototype.pinned_to().is_some_and(|h| h.index() == device))
-                .collect()
-        }
+        let Some(ids) = self.by_host.get(&device) else {
+            return Vec::new();
+        };
+        ids.iter().filter_map(|id| self.lookup(id)).collect()
     }
 
     /// The instances whose prototype carries media-format `token` on its
     /// input or output QoS, in ascending instance-id order.
     pub fn instances_with_format(&self, token: &str) -> Vec<&ServiceDescriptor> {
-        if self.indexes_fresh() {
-            let Some(ids) = self.by_format.get(token) else {
-                return Vec::new();
-            };
-            ids.iter().filter_map(|id| self.lookup(id)).collect()
-        } else {
-            let mut hits: Vec<&ServiceDescriptor> = self
-                .instances()
-                .filter(|d| Self::format_tokens(d).contains(token))
-                .collect();
-            hits.sort_by(|a, b| a.instance_id.cmp(&b.instance_id));
-            hits
-        }
+        let Some(ids) = self.by_format.get(token) else {
+            return Vec::new();
+        };
+        ids.iter().filter_map(|id| self.lookup(id)).collect()
     }
 
-    /// Borrows a registered instance by id (via the id index when fresh).
+    /// Borrows a registered instance by id, via the id index.
     pub fn lookup(&self, instance_id: &str) -> Option<&ServiceDescriptor> {
-        if self.indexes_fresh() {
-            let ty = self.by_id.get(instance_id)?;
-            self.by_type
-                .get(ty)?
-                .iter()
-                .find(|d| d.instance_id == instance_id)
-        } else {
-            self.instances().find(|d| d.instance_id == instance_id)
-        }
+        let ty = self.by_id.get(instance_id)?;
+        self.by_type
+            .get(ty)?
+            .iter()
+            .find(|d| d.instance_id == instance_id)
     }
 
     /// Enables or disables the epoch-keyed `discover_all` memo (on by
@@ -944,7 +900,7 @@ mod tests {
     }
 
     #[test]
-    fn deserialized_registry_rebuilds_indexes_lazily() {
+    fn deserialized_registry_rebuilds_its_indexes() {
         use ubiqos_graph::DeviceId;
         let mut r = ServiceRegistry::new();
         r.register(desc("a1", "audio-server"));
@@ -953,15 +909,22 @@ mod tests {
             "cam",
             ServiceComponent::builder("cam")
                 .pinned_to(DeviceId::from_index(0))
+                .qos_out(QosVector::new().with(D::Format, QosValue::token("MPEG")))
                 .build(),
         ));
         let json = serde_json::to_string(&r).unwrap();
         let mut back: ServiceRegistry = serde_json::from_str(&json).unwrap();
         assert_eq!(back.epoch(), r.epoch());
-        // Read accessors fall back to scans before any mutation...
+        // Every index-backed query answers before any mutation...
         assert_eq!(back.hosted_on(0).len(), 1);
         assert_eq!(back.lookup("a1").unwrap().service_type, "audio-server");
-        // ...and the first mutation rebuilds the indexes for real.
+        let mpeg: Vec<&str> = back
+            .instances_with_format("MPEG")
+            .iter()
+            .map(|d| d.instance_id.as_str())
+            .collect();
+        assert_eq!(mpeg, ["h0"]);
+        // ...and mutations keep them current.
         assert!(back.unregister("a1").is_some());
         assert_eq!(back.instance_count(), 1);
         assert_eq!(back.hosted_on(0).len(), 1);

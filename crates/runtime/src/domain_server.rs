@@ -8,7 +8,7 @@ use crate::cost_model::{CostModel, LinkKind};
 use crate::ledger::{self, ChargeLedger, ChargeSummary};
 use crate::overhead::ConfigOverhead;
 use crate::profiler::StageTimes;
-use crate::recovery::{Degradation, RecoveryMode, RecoveryReport};
+use crate::recovery::{Degradation, RecoveryReport};
 use crate::repository::ComponentRepository;
 use crate::retry_queue::{ParkedSession, RetryPolicy, RetryQueue};
 use crate::streaming::{delivered_qos, DeliveredQos};
@@ -73,8 +73,8 @@ pub struct Session {
     /// Overhead of every configuration action so far, labeled.
     pub overhead_log: Vec<(String, ConfigOverhead)>,
     /// What `configuration` charges and its per-session verdicts,
-    /// derived wherever the configuration is written (see
-    /// [`crate::ledger`]).
+    /// derived by the one configuration write, `DomainServer::install`
+    /// (see [`crate::ledger`]).
     pub(crate) charges: ChargeSummary,
 }
 
@@ -111,6 +111,42 @@ impl fmt::Debug for Session {
 }
 
 impl Session {
+    /// A session that holds no placement yet: an empty configuration
+    /// (footprint zero) at full quality, nothing logged. A start
+    /// installs its first configuration into it; a parked arrival waits
+    /// in the retry queue as it is.
+    fn unplaced(
+        name: String,
+        abstract_graph: AbstractServiceGraph,
+        user_qos: QosVector,
+        client_device: DeviceId,
+        domain: Option<DomainId>,
+    ) -> Session {
+        let graph = ServiceGraph::new();
+        let cut = Cut::from_assignment(&graph, Vec::new(), 1).expect("empty cut is consistent");
+        let configuration = Configuration {
+            app: ComposedApplication {
+                graph,
+                report: OcReport::default(),
+                instances: Vec::new(),
+            },
+            cut,
+            cost: 0.0,
+        };
+        Session {
+            name,
+            abstract_graph,
+            user_qos,
+            client_device,
+            domain,
+            charges: ChargeSummary::of(&configuration),
+            configuration,
+            position_s: 0.0,
+            degrade_factor: 1.0,
+            overhead_log: Vec::new(),
+        }
+    }
+
     /// The QoS currently delivered at each sink.
     pub fn measured_qos(&self) -> Vec<DeliveredQos> {
         delivered_qos(&self.configuration.app.graph)
@@ -148,6 +184,15 @@ impl Session {
 struct ResourceDelta {
     devices: BTreeSet<usize>,
     links: BTreeSet<(usize, usize)>,
+}
+
+/// How a newly written configuration takes over (Figure 4's last
+/// phase): a new session initializes its components, a running or
+/// parked one hands its media state off to the new placement.
+#[derive(Debug, Clone, Copy)]
+enum Activation {
+    Initialize,
+    Handoff,
 }
 
 /// How the domain server's distribution tier places composed graphs.
@@ -247,8 +292,6 @@ pub struct DomainServer {
     ladder: DegradationLadder,
     /// Backoff/budget policy for parked-session retries.
     retry_policy: RetryPolicy,
-    /// How recovery passes select the sessions to re-place.
-    recovery_mode: RecoveryMode,
     /// Cross-request composition memo, epoch-validated against the
     /// registry (a `Mutex` because `configure` runs on `&self`).
     config_cache: Mutex<CompositionCache>,
@@ -329,7 +372,6 @@ impl DomainServer {
             parked: RetryQueue::new(),
             ladder: DegradationLadder::default(),
             retry_policy: RetryPolicy::default(),
-            recovery_mode: RecoveryMode::default(),
             config_cache: Mutex::new(CompositionCache::new()),
             placement: PlacementStrategy::default(),
             optimal: Mutex::new(ExhaustiveOptimal::new()),
@@ -375,7 +417,6 @@ impl DomainServer {
             parked: self.parked.clone(),
             ladder: self.ladder.clone(),
             retry_policy: self.retry_policy,
-            recovery_mode: self.recovery_mode,
             config_cache: Mutex::new(CompositionCache::new()),
             placement: self.placement,
             optimal: Mutex::new(self.optimal.lock().expect("solver lock").clone()),
@@ -407,13 +448,12 @@ impl DomainServer {
         let mut s = String::with_capacity(4096);
         let _ = write!(
             s,
-            "now_ms={:x} next={} shard={} stale={} placement={:?} mode={:?} policy={:?} ladder={:?}",
+            "now_ms={:x} next={} shard={} stale={} placement={:?} policy={:?} ladder={:?}",
             self.now_ms.to_bits(),
             self.next_session,
             self.shard_index,
             self.stale_views.load(Ordering::Relaxed),
             self.placement,
-            self.recovery_mode,
             self.retry_policy,
             self.ladder,
         );
@@ -466,18 +506,6 @@ impl DomainServer {
         &self.retry_policy
     }
 
-    /// Selects how recovery passes pick the sessions to re-place (the
-    /// incremental default, or the exhaustive full scan used as the
-    /// cross-check reference).
-    pub fn set_recovery_mode(&mut self, mode: RecoveryMode) {
-        self.recovery_mode = mode;
-    }
-
-    /// The configured recovery mode.
-    pub fn recovery_mode(&self) -> RecoveryMode {
-        self.recovery_mode
-    }
-
     /// Enables or disables the configuration caches — the composition
     /// memo and the registry's discovery memo — together. All observable
     /// outputs (configurations, virtual overheads, event logs, digests)
@@ -489,14 +517,6 @@ impl DomainServer {
             .expect("config cache lock")
             .set_enabled(enabled);
         self.registry.set_query_memo(enabled);
-    }
-
-    /// Whether the composition cache is active.
-    pub fn config_cache_enabled(&self) -> bool {
-        self.config_cache
-            .lock()
-            .expect("config cache lock")
-            .enabled()
     }
 
     /// Composition-cache counters.
@@ -573,11 +593,6 @@ impl DomainServer {
             .record(events as u64);
     }
 
-    /// Resets the wall-clock stage profile.
-    pub fn reset_stage_times(&mut self) {
-        *self.stages.lock().expect("stage lock") = StageTimes::default();
-    }
-
     /// The number of sessions parked in the retry queue.
     pub fn parked_count(&self) -> usize {
         self.parked.len()
@@ -586,11 +601,6 @@ impl DomainServer {
     /// Iterates over the parked sessions in id order.
     pub fn parked_sessions(&self) -> impl Iterator<Item = (SessionId, &ParkedSession)> {
         self.parked.iter().map(|(id, p)| (SessionId(id), p))
-    }
-
-    /// Whether `id` is currently parked in the retry queue.
-    pub fn is_parked(&self, id: SessionId) -> bool {
-        self.parked.contains(id.0)
     }
 
     /// Mutable access to the service registry (device/service arrival and
@@ -724,33 +734,16 @@ impl DomainServer {
         client_device: DeviceId,
         domain: Option<DomainId>,
     ) -> Result<SessionId, ConfigureError> {
-        let name = name.into();
-        let (configuration, mut overhead) =
-            self.configure(&abstract_graph, &user_qos, client_device, domain)?;
-        overhead.downloading_ms = self.download_for(&configuration);
-        overhead.init_or_handoff_ms = self
-            .costs
-            .initialization_ms(configuration.app.graph.component_count());
-        let id = SessionId(self.next_session);
-        self.next_session += 1;
-        let charges = self.charge(id.0, &configuration);
-        self.sessions.insert(
-            id.0,
-            Session {
-                name,
-                abstract_graph,
-                user_qos,
-                client_device,
-                domain,
-                configuration,
-                position_s: 0.0,
-                degrade_factor: 1.0,
-                overhead_log: vec![("start".into(), overhead)],
-                charges,
-            },
-        );
-        self.now_ms += overhead.total_ms();
-        Ok(id)
+        let speculated =
+            self.speculate_configure(&abstract_graph, &user_qos, client_device, domain);
+        self.open_session(
+            move || name.into(),
+            abstract_graph,
+            user_qos,
+            client_device,
+            domain,
+            speculated,
+        )
     }
 
     /// Stops a session, refunding its resources and returning it. A
@@ -786,29 +779,8 @@ impl DomainServer {
     ) -> SessionId {
         let id = SessionId(self.next_session);
         self.next_session += 1;
-        let graph = ServiceGraph::new();
-        let cut = Cut::from_assignment(&graph, Vec::new(), 1).expect("empty cut is consistent");
-        let configuration = Configuration {
-            app: ComposedApplication {
-                graph,
-                report: OcReport::default(),
-                instances: Vec::new(),
-            },
-            cut,
-            cost: 0.0,
-        };
-        let session = Session {
-            name: name.into(),
-            abstract_graph,
-            user_qos,
-            client_device,
-            domain,
-            charges: ChargeSummary::of(&configuration),
-            configuration,
-            position_s: 0.0,
-            degrade_factor: 1.0,
-            overhead_log: Vec::new(),
-        };
+        let session =
+            Session::unplaced(name.into(), abstract_graph, user_qos, client_device, domain);
         self.parked
             .park(id.0, session, error, self.now_ms, &self.retry_policy);
         id
@@ -828,49 +800,12 @@ impl DomainServer {
         id: SessionId,
         new_device: DeviceId,
     ) -> Result<HandoffPlan, ConfigureError> {
-        let (abstract_graph, user_qos, old_device, position_s, old_charges, domain) = {
-            let s = self
-                .sessions
-                .get(&id.0)
-                .expect("switch_device on a live session");
-            (
-                s.abstract_graph.clone(),
-                s.user_qos.clone(),
-                s.client_device,
-                s.position_s,
-                s.charges.clone(),
-                s.domain,
-            )
-        };
-        // Free the old configuration's resources first — the new one may
-        // reuse the same devices. On failure the old charge is restored
-        // and the old configuration stays live.
-        self.refund(&old_charges);
-        let configured = self.configure(&abstract_graph, &user_qos, new_device, domain);
-        let (configuration, mut overhead) = match configured {
-            Ok(ok) => ok,
-            Err(e) => {
-                self.recharge(&old_charges);
-                return Err(e);
-            }
-        };
-        let charges = self.charge(id.0, &configuration);
-        overhead.downloading_ms = self.download_for(&configuration);
-
-        let checkpoint = Checkpoint::capture(position_s, self.now_ms);
-        let plan = HandoffPlan::new(checkpoint, self.links[new_device.index()], &self.costs);
-        overhead.init_or_handoff_ms = plan.handoff_ms;
-
-        let session = self.sessions.get_mut(&id.0).expect("checked above");
-        session.client_device = new_device;
-        session.configuration = configuration;
-        session.charges = charges;
-        session.degrade_factor = 1.0;
-        session
-            .overhead_log
-            .push((format!("switch {old_device} -> {new_device}"), overhead));
-        self.now_ms += overhead.total_ms();
-        Ok(plan)
+        let s = self
+            .sessions
+            .get(&id.0)
+            .expect("switch_device on a live session");
+        let label = format!("switch {} -> {new_device}", s.client_device);
+        self.relocate(id, new_device, s.domain, label)
     }
 
     /// Handles user mobility: the user (and their portal) moved to a new
@@ -888,48 +823,51 @@ impl DomainServer {
         new_domain: Option<DomainId>,
         new_device: DeviceId,
     ) -> Result<HandoffPlan, ConfigureError> {
-        let (abstract_graph, user_qos, position_s, old_charges) = {
-            let s = self
-                .sessions
-                .get(&id.0)
-                .expect("move_user on a live session");
-            (
-                s.abstract_graph.clone(),
-                s.user_qos.clone(),
-                s.position_s,
-                s.charges.clone(),
-            )
-        };
-        self.refund(&old_charges);
-        let configured = self.configure(&abstract_graph, &user_qos, new_device, new_domain);
-        let (configuration, mut overhead) = match configured {
-            Ok(ok) => ok,
-            Err(e) => {
-                self.recharge(&old_charges);
-                return Err(e);
-            }
-        };
-        let charges = self.charge(id.0, &configuration);
-        overhead.downloading_ms = self.download_for(&configuration);
-        let checkpoint = Checkpoint::capture(position_s, self.now_ms);
-        let plan = HandoffPlan::new(checkpoint, self.links[new_device.index()], &self.costs);
-        overhead.init_or_handoff_ms = plan.handoff_ms;
-
         let location = new_domain.map_or("the whole space".to_owned(), |d| {
             self.registry
                 .domain(d)
                 .map_or_else(|| d.to_string(), |dom| dom.name.clone())
         });
-        let session = self.sessions.get_mut(&id.0).expect("checked above");
+        self.relocate(id, new_device, new_domain, format!("move to {location}"))
+    }
+
+    /// Re-places live session `id` for the client `new_device` in
+    /// `new_domain`, with state handoff, logging the overhead under
+    /// `label`: the shared tail of a portal switch and a user move. The
+    /// session leaves the table while its old charge is refunded, since
+    /// the new configuration may reuse the same devices; on failure the
+    /// old charge is restored and the session returns unchanged.
+    fn relocate(
+        &mut self,
+        id: SessionId,
+        new_device: DeviceId,
+        new_domain: Option<DomainId>,
+        label: String,
+    ) -> Result<HandoffPlan, ConfigureError> {
+        let mut session = self
+            .sessions
+            .remove(&id.0)
+            .expect("relocate a live session");
+        self.refund(&session.charges);
+        let placed = match self.configure(
+            &session.abstract_graph,
+            &session.user_qos,
+            new_device,
+            new_domain,
+        ) {
+            Ok(placed) => placed,
+            Err(e) => {
+                self.recharge(&session.charges);
+                self.sessions.insert(id.0, session);
+                return Err(e);
+            }
+        };
+        let checkpoint = Checkpoint::capture(session.position_s, self.now_ms);
+        let plan = HandoffPlan::new(checkpoint, self.links[new_device.index()], &self.costs);
         session.client_device = new_device;
         session.domain = new_domain;
-        session.configuration = configuration;
-        session.charges = charges;
         session.degrade_factor = 1.0;
-        session
-            .overhead_log
-            .push((format!("move to {location}"), overhead));
-        self.now_ms += overhead.total_ms();
+        self.install(id.0, session, placed, Activation::Handoff, label);
         Ok(plan)
     }
 
@@ -1195,78 +1133,18 @@ impl DomainServer {
         self.recovery_pass(&format!("absorb fluctuation on {device}"), &delta)
     }
 
-    /// The summed charges per device and per link over every live
-    /// session, folded from the cached charge summaries in session
-    /// order — the input of invalid-set selection.
-    fn charge_totals(
-        &self,
-    ) -> (
-        Vec<ubiqos_model::ResourceVector>,
-        BTreeMap<(usize, usize), f64>,
-    ) {
-        let dim = self
-            .capacity
-            .device(0)
-            .map_or(0, |dev| dev.availability().dim());
-        let mut device_charge =
-            vec![ubiqos_model::ResourceVector::zero(dim); self.capacity.device_count()];
-        let mut link_charge: BTreeMap<(usize, usize), f64> = BTreeMap::new();
-        for s in self.sessions.values() {
-            for (part, used) in s.charges.occupied() {
-                if let Some(charge) = device_charge.get_mut(part) {
-                    *charge = charge
-                        .checked_add(used)
-                        .expect("charge accumulation has consistent dimensions");
-                }
-            }
-            for &(i, j, mbps) in &s.charges.links {
-                *link_charge.entry((i, j)).or_insert(0.0) += mbps;
-            }
-        }
-        (device_charge, link_charge)
-    }
-
     /// The sessions whose placement a capacity change invalidated: every
-    /// session touching an *overcommitted* resource (summed charges above
-    /// current capacity). `scan` restricts which resources are examined
-    /// for overcommitment — the incremental mode passes the fault's
-    /// delta, the full mode passes `None` (examine everything).
-    fn invalid_sessions(
-        &self,
-        device_charge: &[ubiqos_model::ResourceVector],
-        link_charge: &BTreeMap<(usize, usize), f64>,
-        scan: Option<&ResourceDelta>,
-    ) -> BTreeSet<u64> {
-        const EPS: f64 = 1e-6;
-        let mut over_devices: BTreeSet<usize> = BTreeSet::new();
-        let mut over_links: BTreeSet<(usize, usize)> = BTreeSet::new();
-        for (d, charge) in device_charge.iter().enumerate() {
-            if scan.is_some_and(|delta| !delta.devices.contains(&d)) {
-                continue;
-            }
-            let cap = self
-                .capacity
-                .device(d)
-                .expect("charge vector indexes the space")
-                .availability();
-            if charge
-                .amounts()
-                .iter()
-                .zip(cap.amounts())
-                .any(|(&used, &have)| used > have + EPS)
-            {
-                over_devices.insert(d);
-            }
-        }
-        for (&key, &used) in link_charge {
-            if scan.is_some_and(|delta| !delta.links.contains(&key)) {
-                continue;
-            }
-            let cap = self.capacity.bandwidth().get(key.0, key.1);
-            if cap.is_finite() && used > cap + EPS {
-                over_links.insert(key);
-            }
-        }
+    /// session touching an *overcommitted* resource (the running
+    /// ledger's charges above current capacity). `scan` restricts which
+    /// resources are examined for overcommitment — a recovery pass
+    /// passes the fault's delta; `None` examines everything, the
+    /// reference the pass cross-checks the delta-guided set against.
+    fn invalid_sessions(&self, scan: Option<&ResourceDelta>) -> BTreeSet<u64> {
+        let (over_devices, over_links) = self.ledger.overcommitted(
+            &self.capacity,
+            |d| scan.is_none_or(|delta| delta.devices.contains(&d)),
+            |l| scan.is_none_or(|delta| delta.links.contains(&l)),
+        );
         self.sessions
             .iter()
             .filter(|(_, s)| {
@@ -1288,25 +1166,15 @@ impl DomainServer {
     /// Ends by draining due retries.
     fn recovery_pass(&mut self, label: &str, delta: &ResourceDelta) -> RecoveryReport {
         let considered = self.sessions.len();
-        let (device_charge, link_charge) = self.charge_totals();
-        let invalid = match self.recovery_mode {
-            RecoveryMode::Incremental => {
-                let inc = self.invalid_sessions(&device_charge, &link_charge, Some(delta));
-                if cfg!(debug_assertions) {
-                    // The cross-check: only resources the fault changed
-                    // can have become overcommitted, so the delta-guided
-                    // set must equal the exhaustive one.
-                    let full = self.invalid_sessions(&device_charge, &link_charge, None);
-                    debug_assert_eq!(
-                        inc, full,
-                        "incremental invalid set diverged from the full scan"
-                    );
-                }
-                inc
-            }
-            RecoveryMode::Full => self.invalid_sessions(&device_charge, &link_charge, None),
-        };
-        let mut replace: BTreeSet<u64> = invalid;
+        let mut replace = self.invalid_sessions(Some(delta));
+        // The cross-check: only resources the fault changed can have
+        // become overcommitted, so the delta-guided set must equal the
+        // exhaustive one.
+        debug_assert_eq!(
+            replace,
+            self.invalid_sessions(None),
+            "incremental invalid set diverged from the full scan"
+        );
         for (&raw_id, s) in &self.sessions {
             if s.degrade_factor < 1.0
                 && s.charges
@@ -1333,35 +1201,18 @@ impl DomainServer {
             }
         }
         for raw_id in replace {
-            let (abstract_graph, user_qos, client_device, domain, old_factor, warm) = {
-                let s = &self.sessions[&raw_id];
-                (
-                    s.abstract_graph.clone(),
-                    s.user_qos.clone(),
-                    s.client_device,
-                    s.domain,
-                    s.degrade_factor,
-                    warm_seed_of(&s.configuration),
-                )
-            };
-            match self.place_with_ladder(
-                &abstract_graph,
-                &user_qos,
-                client_device,
-                domain,
-                warm.as_deref(),
-            ) {
-                Ok((configuration, mut overhead, factor)) => {
-                    overhead.downloading_ms = self.download_for(&configuration);
-                    overhead.init_or_handoff_ms =
-                        self.costs.handoff_ms(self.links[client_device.index()]);
-                    let charges = self.charge(raw_id, &configuration);
-                    let session = self.sessions.get_mut(&raw_id).expect("live id");
-                    session.configuration = configuration;
-                    session.charges = charges;
+            let mut session = self.sessions.remove(&raw_id).expect("live id");
+            let old_factor = session.degrade_factor;
+            match self.place_with_ladder(&session) {
+                Ok((placed, factor)) => {
                     session.degrade_factor = factor;
-                    session.overhead_log.push((label.to_owned(), overhead));
-                    self.now_ms += overhead.total_ms();
+                    self.install(
+                        raw_id,
+                        session,
+                        placed,
+                        Activation::Handoff,
+                        label.to_owned(),
+                    );
                     if factor >= 1.0 {
                         report.recovered.push(SessionId(raw_id));
                     } else {
@@ -1374,7 +1225,7 @@ impl DomainServer {
                         ));
                     }
                 }
-                Err(e) => self.park_or_drop(raw_id, e, &mut report),
+                Err(e) => self.park_or_drop(raw_id, session, e, &mut report),
             }
         }
         // A recovery event is a direct signal that capacity changed, so
@@ -1386,44 +1237,46 @@ impl DomainServer {
         report
     }
 
-    /// Walks the degradation ladder from full quality downwards and
-    /// returns the first level the configurator can place, with its
-    /// factor. Errors with the *last* (lowest-level) failure when no
-    /// level fits.
+    /// Walks the degradation ladder from full quality downwards for
+    /// `session` (warm-started from its current placement) and returns
+    /// the first level the configurator can place, with its factor.
+    /// Errors with the *last* (lowest-level) failure when no level fits.
     fn place_with_ladder(
         &self,
-        abstract_graph: &AbstractServiceGraph,
-        user_qos: &QosVector,
-        client_device: DeviceId,
-        domain: Option<DomainId>,
-        warm: Option<&[usize]>,
-    ) -> Result<(Configuration, ConfigOverhead, f64), ConfigureError> {
+        session: &Session,
+    ) -> Result<((Configuration, ConfigOverhead), f64), ConfigureError> {
+        let warm = warm_seed_of(&session.configuration);
         let mut last_err = None;
-        for step in self.ladder.steps(user_qos, abstract_graph) {
+        for step in self
+            .ladder
+            .steps(&session.user_qos, &session.abstract_graph)
+        {
             match self.configure_scaled(
                 &step.abstract_graph,
                 &step.user_qos,
-                client_device,
-                domain,
+                session.client_device,
+                session.domain,
                 step.factor,
-                warm,
+                warm.as_deref(),
                 true,
             ) {
-                Ok((configuration, overhead)) => return Ok((configuration, overhead, step.factor)),
+                Ok(placed) => return Ok((placed, step.factor)),
                 Err(e) => last_err = Some(e),
             }
         }
         Err(last_err.expect("the ladder always has at least one level"))
     }
 
-    /// Ladder exhaustion: park the session for retry, or drop it
+    /// Ladder exhaustion: park `session` for retry, or drop it
     /// immediately when the retry budget is zero. The session holds no
-    /// charge at this point (the caller refunded or never charged it).
-    fn park_or_drop(&mut self, raw_id: u64, error: ConfigureError, report: &mut RecoveryReport) {
-        let session = self
-            .sessions
-            .remove(&raw_id)
-            .expect("park_or_drop on a live session");
+    /// charge at this point (the caller refunded it).
+    fn park_or_drop(
+        &mut self,
+        raw_id: u64,
+        session: Session,
+        error: ConfigureError,
+        report: &mut RecoveryReport,
+    ) {
         if self.retry_policy.max_attempts == 0 {
             report.dropped.push(SessionId(raw_id));
             report.drop_errors.push((SessionId(raw_id), error));
@@ -1459,30 +1312,12 @@ impl DomainServer {
         };
         for raw_id in ids {
             let mut parked = self.parked.remove(raw_id).expect("ranked id is parked");
-            let warm = warm_seed_of(&parked.session.configuration);
-            let outcome = self.place_with_ladder(
-                &parked.session.abstract_graph,
-                &parked.session.user_qos,
-                parked.session.client_device,
-                parked.session.domain,
-                warm.as_deref(),
-            );
-            match outcome {
-                Ok((configuration, mut overhead, factor)) => {
-                    overhead.downloading_ms = self.download_for(&configuration);
-                    overhead.init_or_handoff_ms = self
-                        .costs
-                        .handoff_ms(self.links[parked.session.client_device.index()]);
-                    let charges = self.charge(raw_id, &configuration);
+            match self.place_with_ladder(&parked.session) {
+                Ok((placed, factor)) => {
                     let mut session = parked.session;
-                    session.configuration = configuration;
-                    session.charges = charges;
                     session.degrade_factor = factor;
-                    session
-                        .overhead_log
-                        .push(("re-admit from park".to_owned(), overhead));
-                    self.now_ms += overhead.total_ms();
-                    self.sessions.insert(raw_id, session);
+                    let label = "re-admit from park".to_owned();
+                    self.install(raw_id, session, placed, Activation::Handoff, label);
                     report.readmitted.push(SessionId(raw_id));
                 }
                 Err(e) if eager => {
@@ -1560,19 +1395,17 @@ impl DomainServer {
     }
 
     /// Adopts a previously [`DomainServer::speculate_configure`]d
-    /// outcome as a session start. The success path replays
-    /// [`DomainServer::start_session`]'s commit tail byte-for-byte
-    /// (download, initialization pricing, capacity charge, session
-    /// insertion, virtual-time advance); the failure
-    /// path re-raises the speculated error, counting a stale view
-    /// exactly as the serial admission path would have.
+    /// outcome as a session start: exactly the tail of
+    /// [`DomainServer::start_session`], which speculates and adopts in
+    /// one step. A success opens the session; a failure re-raises the
+    /// speculated error, counting a stale view exactly as the serial
+    /// admission path does.
     ///
     /// Soundness requires the speculation to still be *fresh*: no
     /// charge, refund, fault, reinstatement, lease expiry, or retry
     /// admission may have occurred since it ran. The pipeline runtime
     /// enforces this by invalidating its speculation table on every
-    /// mutating event, so `speculate_configure` + `admit_speculated`
-    /// back-to-back is exactly `start_session` decomposed.
+    /// mutating event.
     ///
     /// # Errors
     ///
@@ -1582,8 +1415,7 @@ impl DomainServer {
     /// The name is taken as a thunk: adoption knows the admission
     /// outcome before a session record exists, so denied arrivals —
     /// the bulk of an overload campaign — never pay for building the
-    /// name string. (The serial path cannot make this move: it must
-    /// hand the name to the configurator before the outcome is known.)
+    /// name string.
     pub fn admit_speculated(
         &mut self,
         name: impl FnOnce() -> String,
@@ -1592,38 +1424,44 @@ impl DomainServer {
         client_device: DeviceId,
         speculated: Result<(Configuration, ConfigOverhead), ConfigureError>,
     ) -> Result<SessionId, ConfigureError> {
-        let (configuration, mut overhead) = match speculated {
-            Ok(ok) => ok,
-            Err(e) => {
-                if matches!(e, ConfigureError::StaleView { .. }) {
-                    self.stale_views.fetch_add(1, Ordering::Relaxed);
-                }
-                return Err(e);
+        self.open_session(
+            name,
+            abstract_graph,
+            user_qos,
+            client_device,
+            None,
+            speculated,
+        )
+    }
+
+    /// Opens a session from a speculated configuration outcome: the one
+    /// place a start counts a stale view, and the one place it takes a
+    /// session id. A success installs the configuration into a fresh
+    /// session, priced as an initialization and logged as `start`.
+    fn open_session(
+        &mut self,
+        name: impl FnOnce() -> String,
+        abstract_graph: AbstractServiceGraph,
+        user_qos: QosVector,
+        client_device: DeviceId,
+        domain: Option<DomainId>,
+        speculated: Result<(Configuration, ConfigOverhead), ConfigureError>,
+    ) -> Result<SessionId, ConfigureError> {
+        let placed = speculated.inspect_err(|e| {
+            if matches!(e, ConfigureError::StaleView { .. }) {
+                self.stale_views.fetch_add(1, Ordering::Relaxed);
             }
-        };
-        overhead.downloading_ms = self.download_for(&configuration);
-        overhead.init_or_handoff_ms = self
-            .costs
-            .initialization_ms(configuration.app.graph.component_count());
+        })?;
         let id = SessionId(self.next_session);
         self.next_session += 1;
-        let charges = self.charge(id.0, &configuration);
-        self.sessions.insert(
+        let session = Session::unplaced(name(), abstract_graph, user_qos, client_device, domain);
+        self.install(
             id.0,
-            Session {
-                name: name(),
-                abstract_graph,
-                user_qos,
-                client_device,
-                domain: None,
-                configuration,
-                position_s: 0.0,
-                degrade_factor: 1.0,
-                overhead_log: vec![("start".into(), overhead)],
-                charges,
-            },
+            session,
+            placed,
+            Activation::Initialize,
+            "start".into(),
         );
-        self.now_ms += overhead.total_ms();
         Ok(id)
     }
 
@@ -1833,15 +1671,37 @@ impl DomainServer {
         Ok(Configuration { app, cut, cost })
     }
 
-    /// Derives the summary of `configuration`, newly written for raw
-    /// session `raw_id`, charges it to the residual environment and the
-    /// ledger, and marks the session written for the next check.
-    /// Returns the summary for the session record.
-    fn charge(&mut self, raw_id: u64, configuration: &Configuration) -> ChargeSummary {
-        let charges = ChargeSummary::of(configuration);
-        self.recharge(&charges);
+    /// The one configuration write (§3.3's sequence after composition
+    /// and distribution): downloads the missing code of the placed
+    /// `configuration`, prices its activation, derives its charge
+    /// summary and charges it to the residual environment and the
+    /// ledger, marks the session written for the next invariant check,
+    /// logs the overhead under `label`, advances virtual time, and puts
+    /// `session` into the table as raw id `raw_id`.
+    fn install(
+        &mut self,
+        raw_id: u64,
+        mut session: Session,
+        (configuration, mut overhead): (Configuration, ConfigOverhead),
+        activation: Activation,
+        label: String,
+    ) {
+        overhead.downloading_ms = self.download_for(&configuration);
+        overhead.init_or_handoff_ms = match activation {
+            Activation::Initialize => self
+                .costs
+                .initialization_ms(configuration.app.graph.component_count()),
+            Activation::Handoff => self
+                .costs
+                .handoff_ms(self.links[session.client_device.index()]),
+        };
+        session.charges = ChargeSummary::of(&configuration);
+        self.recharge(&session.charges);
         self.ledger.written.insert(raw_id);
-        charges
+        session.configuration = configuration;
+        session.overhead_log.push((label, overhead));
+        self.now_ms += overhead.total_ms();
+        self.sessions.insert(raw_id, session);
     }
 
     /// Charges a configuration, by its summary `charges`, to the
@@ -2359,6 +2219,49 @@ mod tests {
             .app
             .instances
             .is_empty());
+    }
+
+    #[test]
+    fn start_session_is_speculation_then_adoption() {
+        let start = |server: &mut DomainServer, decomposed: bool| {
+            let (graph, qos, client) = (audio_app(), QosVector::new(), DeviceId::from_index(1));
+            if decomposed {
+                let speculated = server.speculate_configure(&graph, &qos, client, None);
+                server.admit_speculated(|| "audio".to_owned(), graph, qos, client, speculated)
+            } else {
+                server.start_session("audio", graph, qos, client)
+            }
+        };
+        let mut serial = two_desktop_server();
+        let mut adopted = two_desktop_server();
+        let a = start(&mut serial, false).expect("admitted");
+        let b = start(&mut adopted, true).expect("admitted");
+        assert_eq!(a, b);
+        assert_eq!(serial.state_fingerprint(), adopted.state_fingerprint());
+
+        // d0 hosts the pinned audio server and is dead, unnoticed by the
+        // detector: every start is refused with a stale view, counted
+        // once per refusal on either path.
+        serial.set_reachable(DeviceId::from_index(0), false);
+        adopted.set_reachable(DeviceId::from_index(0), false);
+        for refusals in 1..=2 {
+            let ea = start(&mut serial, false).unwrap_err();
+            let eb = start(&mut adopted, true).unwrap_err();
+            assert!(matches!(ea, ConfigureError::StaleView { device: 0 }));
+            assert_eq!(ea, eb);
+            assert_eq!(serial.stale_view_count(), refusals);
+            assert_eq!(adopted.stale_view_count(), refusals);
+            assert_eq!(serial.state_fingerprint(), adopted.state_fingerprint());
+        }
+        // Speculating alone counts nothing: adoption does.
+        let speculated = adopted.speculate_configure(
+            &audio_app(),
+            &QosVector::new(),
+            DeviceId::from_index(1),
+            None,
+        );
+        assert!(speculated.is_err());
+        assert_eq!(adopted.stale_view_count(), 2);
     }
 
     #[test]

@@ -5,13 +5,13 @@
 //! ## Model
 //!
 //! Every state mutation a shard performs while handling federated
-//! events is journaled as a typed [`WalRecord`] *before* (or, for
+//! events is journaled as a typed `WalRecord` *before* (or, for
 //! outcome-dependent bookkeeping, within the same atomic event as) the
 //! mutation itself: clock advances, session-table track/untrack edits,
 //! every [`DomainServer`] call (admissions, parks, refunds via
 //! `stop_session`, lease renewals, lease expiries, retry drains,
 //! moves/switches), and every injected device fault. Periodic
-//! checkpoints capture a full [`ShardSnapshot`] and truncate the log
+//! checkpoints capture a full `ShardSnapshot` and truncate the log
 //! tail, bounding both replay work and journal memory.
 //!
 //! The shard's transcript is not journaled and not checkpointed. It is
@@ -32,7 +32,7 @@
 //!
 //! ## Replay determinism
 //!
-//! Replay re-executes recorded [`ServerCall`]s against the restored
+//! Replay re-executes recorded `ServerCall`s against the restored
 //! server through the same per-kind call code (`exec_*`) the shard core's
 //! journaled helpers use live — it never duplicates handler branch
 //! logic. A call whose
@@ -41,7 +41,7 @@
 //! raw session ids actually untracked, so replay applies the same map
 //! edits without consulting crash-time engine state. Aggregate
 //! counters, the iteration count, and the sweep cursor are coalesced
-//! into [`WalRecord::Mark`] records emitted at event boundaries (the
+//! into `WalRecord::Mark` records emitted at event boundaries (the
 //! crash instant is itself a boundary); everything the counters
 //! summarize is already individually journaled by the typed records
 //! around them.
@@ -49,7 +49,7 @@
 //! Volatile profiling state (wall-clock stage times, solver-portfolio
 //! telemetry, composition-cache contents) is checkpointed by value but
 //! not journaled: a crash loses the profiling tail since the last
-//! checkpoint. It is excluded from [`shard_fingerprint`], and the
+//! checkpoint. It is excluded from `shard_fingerprint`, and the
 //! cache-on ≡ cache-off contract (PR 4) makes a cold composition
 //! cache semantically invisible.
 

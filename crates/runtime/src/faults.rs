@@ -20,7 +20,7 @@
 //!   crashed device is ever visible to discovery; crashed hosts'
 //!   instances are unregistered until recovery.
 //! * **Witnessed drops** — a session is only ever dropped together with
-//!   the [`ConfigureError`](ubiqos::ConfigureError) that proves it was
+//!   the [`ConfigureError`] that proves it was
 //!   unplaceable when its retry budget ran out, and session fates balance
 //!   exactly (admitted = completed + dropped + live + parked).
 //!

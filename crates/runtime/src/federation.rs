@@ -1,5 +1,5 @@
 //! Sharded multi-domain federation: the fault-campaign harness scaled
-//! out over N [`DomainServer`] shards.
+//! out over N [`DomainServer`](crate::DomainServer) shards.
 //!
 //! PR 1-6 grew a single domain server that admits, degrades, parks,
 //! and recovers sessions under a deterministic fault schedule. This
@@ -86,7 +86,7 @@
 //! late arrivals) without ever perturbing the application event order.
 //! The consequence is the equivalence contract this module pins: under
 //! any seeded loss/dup/reorder/delay schedule (see
-//! [`LossyTransport`](crate::transport::LossyTransport)), every shard
+//! [`LossyTransport`]), every shard
 //! replays the exact per-shard handler sequence — and therefore the
 //! exact log bytes — of the perfect run, while the zero-loss path
 //! stays byte-identical to the bare [`ChannelTransport`].

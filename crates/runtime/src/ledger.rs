@@ -3,15 +3,18 @@
 //! every live session graph.
 //!
 //! A session's configuration only changes at start, portal switch, user
-//! move, recovery re-placement and retry re-admission, so each of those
-//! writes derives a [`ChargeSummary`] once — the nonzero per-device
+//! move, recovery re-placement and retry re-admission, all written by
+//! the domain server's one install path, which derives a
+//! [`ChargeSummary`] once — the nonzero per-device
 //! resource sums, the sparse link charges, and the Eq. 1 and pin
 //! verdicts. It is the one derivation of the session's charge: the
-//! residual environment is charged and refunded from it, recovery
-//! selects invalid sessions from it, and the domain server keeps a
-//! running [`ChargeLedger`] of the live summaries next to the residual,
-//! so the sweep compares residual against capacity minus ledger instead
-//! of re-deriving every live charge.
+//! residual environment is charged and refunded from it, and the domain
+//! server keeps a running [`ChargeLedger`] of the live summaries next to
+//! the residual. The sweep compares residual against capacity minus
+//! ledger instead of re-deriving every live charge, and a recovery pass
+//! reads the resources the ledger overcommits
+//! ([`ChargeLedger::overcommitted`]) to select the sessions it must
+//! re-place.
 //!
 //! [`check`] checks invariants (1)–(5) of
 //! [`check_invariants`](crate::faults::check_invariants) in the same
@@ -296,6 +299,39 @@ impl ChargeLedger {
         self.device.fill(0.0);
         self.link.fill(0.0);
         self.occupants.fill(0);
+    }
+
+    /// The devices `device` accepts and the links `link` accepts whose
+    /// running charge exceeds `capacity` in some dimension: the
+    /// resources whose occupants a recovery pass must re-place.
+    pub(crate) fn overcommitted(
+        &self,
+        capacity: &Environment,
+        device: impl Fn(usize) -> bool,
+        link: impl Fn((usize, usize)) -> bool,
+    ) -> (BTreeSet<usize>, BTreeSet<(usize, usize)>) {
+        let devices = capacity
+            .devices()
+            .iter()
+            .zip(self.device.chunks(self.dim.max(1)))
+            .enumerate()
+            .filter(|&(d, (cap, used))| {
+                device(d)
+                    && used
+                        .iter()
+                        .zip(cap.availability().amounts())
+                        .any(|(&used, &have)| used > have + EPS)
+            })
+            .map(|(d, _)| d)
+            .collect();
+        let links = capacity
+            .bandwidth()
+            .pairs()
+            .zip(&self.link)
+            .filter(|&((i, j, cap), &used)| link((i, j)) && cap.is_finite() && used > cap + EPS)
+            .map(|((i, j, _), _)| (i, j))
+            .collect();
+        (devices, links)
     }
 }
 

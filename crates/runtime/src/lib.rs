@@ -83,7 +83,7 @@ pub use pipeline::{
     run_fault_campaign_batched, run_fault_campaign_batched_with, PipelineConfig, PipelineStats,
 };
 pub use profiler::{PowHistogram, Profiler, StageTimes};
-pub use recovery::{Degradation, RecoveryMode, RecoveryReport};
+pub use recovery::{Degradation, RecoveryReport};
 pub use repository::ComponentRepository;
 pub use retry_queue::{ParkedSession, RetryPolicy, RetryQueue};
 pub use shrink::{shrink_schedule, ShrinkOutcome};

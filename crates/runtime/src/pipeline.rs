@@ -40,7 +40,7 @@
 //! A speculated outcome is adopted only while it is *fresh*: no event
 //! that mutates configuration inputs (a capacity charge or refund, a
 //! fault, a detector suspicion or reinstatement, a retry-queue
-//! admission) has committed since it was computed. The [`SpecTable`]
+//! admission) has committed since it was computed. The `SpecTable`
 //! is invalidated wholesale on every such mutation, so at adoption
 //! time `speculate_configure` + `admit_speculated` is exactly
 //! [`DomainServer::start_session`] decomposed — same configuration,

@@ -31,22 +31,6 @@ pub struct Degradation {
     pub to: f64,
 }
 
-/// How a recovery pass selects the sessions to re-place.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RecoveryMode {
-    /// Derive the invalid set from the fault's resource delta: only
-    /// sessions touching a changed-and-overcommitted device or link are
-    /// re-placed. O(affected) work per fault.
-    #[default]
-    Incremental,
-    /// Scan every device and link for overcommitment and re-place every
-    /// session touching one. O(sessions) work per fault — the reference
-    /// the incremental mode is cross-checked against (the two must select
-    /// identical sets, because only resources the fault changed can have
-    /// become overcommitted).
-    Full,
-}
-
 /// The outcome of one recovery pass (or one retry-queue drain).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct RecoveryReport {

@@ -7,7 +7,7 @@
 //! deterministically whenever virtual time passes its `next_retry_ms`.
 //! Each failed retry doubles the backoff (capped), and only when the
 //! attempt budget is exhausted is the session dropped — with the last
-//! [`ConfigureError`](ubiqos::ConfigureError) as the witness that it was
+//! [`ConfigureError`] as the witness that it was
 //! genuinely unplaceable.
 //!
 //! Retries are attempted in a deterministic *priority* order rather than
@@ -109,13 +109,6 @@ impl RetryQueue {
     /// Whether the queue is empty.
     pub fn is_empty(&self) -> bool {
         self.parked.is_empty()
-    }
-
-    /// Whether session `id` is currently parked — the hook federation
-    /// handoff tests use to assert a suspected-destination move landed
-    /// in the retry queue rather than being duplicated or leaked.
-    pub fn contains(&self, id: u64) -> bool {
-        self.parked.contains_key(&id)
     }
 
     /// Parks a session (first park: zero attempts used). The priority

@@ -322,7 +322,7 @@ pub mod collection {
         }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     #[derive(Clone)]
     pub struct VecStrategy<S> {
         element: S,

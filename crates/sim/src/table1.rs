@@ -183,7 +183,7 @@ const WAVE: usize = 16;
 /// Runs the Table 1 experiment.
 ///
 /// Candidate graphs are indexed and drawn from per-index RNG streams
-/// (see [`candidate_rng`]), evaluated in waves — concurrently with the
+/// (see `candidate_rng`), evaluated in waves — concurrently with the
 /// `parallel` feature, serially without — and consumed in index order
 /// until the configured number of feasible graphs is reached. Both modes
 /// produce the same report for the same config.
