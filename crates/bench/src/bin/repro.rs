@@ -281,21 +281,25 @@ fn run_or_shrink(cfg: &ubiqos_runtime::FaultCampaignConfig) -> ubiqos_runtime::C
 
 fn faults() {
     println!("================ Fault-injection campaign ================");
-    let cfg = ubiqos_bench::faults_config();
+    // Both runs keep their transcripts, so the determinism check below
+    // compares every line, not only the digests.
+    let cfg = ubiqos_runtime::FaultCampaignConfig {
+        retain_transcript: true,
+        ..ubiqos_bench::faults_config()
+    };
     let first = run_or_shrink(&cfg);
     // Re-run the identical campaign and require a byte-identical trace:
     // the determinism guarantee is part of the artifact, not a side note.
     let second = run_or_shrink(&cfg);
     assert_eq!(
-        first.log.render(),
-        second.log.render(),
+        first.log, second.log,
         "same seed must reproduce a byte-identical event log"
     );
     assert_eq!(first.report, second.report, "and the same summary report");
     println!("{}", first.report.render());
     println!(
         "determinism: two runs, byte-identical logs ({} lines, digest {:#018x})",
-        first.log.lines().len(),
+        first.log.len(),
         first.report.log_digest
     );
 

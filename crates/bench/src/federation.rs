@@ -469,8 +469,7 @@ pub fn run_federation_bench(
         let wall_ms = wall.elapsed().as_secs_f64() * 1e3;
         assert!(outcome.fates_balance(), "shard fate ledgers must balance");
         let matches_serial = shards != 1
-            || (outcome.shards[0].report == serial.report
-                && outcome.shards[0].log.render() == serial.log.render());
+            || (outcome.shards[0].report == serial.report && outcome.shards[0].log == serial.log);
         if shards == 1 {
             one_shard_matches &= matches_serial;
         }

@@ -283,7 +283,16 @@ impl fmt::Display for FaultReport {
 /// collision resistance; determinism checks always compare the full log
 /// too when it is available.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a_extend(FNV1A_OFFSET, bytes)
+}
+
+/// The FNV-1a offset basis: the digest of the empty input.
+pub const FNV1A_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into a running FNV-1a state, so a digest can be taken
+/// over a stream piece by piece: `fnv1a_extend(fnv1a(a), b)` equals
+/// `fnv1a` over `a` followed by `b`.
+pub fn fnv1a_extend(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
@@ -363,6 +372,7 @@ mod tests {
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_ne!(fnv1a(b"a"), fnv1a(b"b"));
         assert_eq!(fnv1a(b"ubiqos"), fnv1a(b"ubiqos"));
+        assert_eq!(fnv1a_extend(fnv1a(b"ubi"), b"qos"), fnv1a(b"ubiqos"));
     }
 
     #[test]

@@ -84,7 +84,10 @@
 //! The whole campaign is a pure function of
 //! [`FaultCampaignConfig::seed`]: the event log renders byte-identically
 //! across runs and across `UBIQOS_THREADS` settings, which
-//! `tests/fault_injection.rs` and `repro -- faults` both assert. With
+//! `tests/fault_injection.rs` and `repro -- faults` both assert. The log
+//! streams every line into its digest and keeps the lines only under
+//! [`FaultCampaignConfig::retain_transcript`]; retention changes no
+//! digest, count or report. With
 //! `detection_grace_h = 0` (and no partition/jam overlays) the campaign
 //! reproduces the perfect-detection logs and digests byte-identically —
 //! no heartbeat events exist, no extra RNG draws happen, no new log
@@ -106,6 +109,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 use std::fmt::Write as _;
 use std::time::Instant;
+use ubiqos::fault_report::{fnv1a_extend, FNV1A_OFFSET};
 use ubiqos::{ConfigureError, FaultReport};
 use ubiqos_composition::{diagnose, DegradationLadder};
 use ubiqos_discovery::{DeviceProperties, ServiceDescriptor};
@@ -206,6 +210,13 @@ pub struct FaultCampaignConfig {
     /// [`PlacementStrategy::Portfolio`] exercises the exact/hierarchical
     /// solver portfolio under the same fault schedule.
     pub placement: PlacementStrategy,
+    /// Whether the campaign's [`EventLog`] keeps its lines (default
+    /// `false`: the log streams each line into its digest and keeps
+    /// only counters and the last line). Tests that read or diff
+    /// transcript text, and `repro -- faults`, turn it on; the digest,
+    /// the counters and every report are the same either way. A
+    /// federation passes it to every shard through its base config.
+    pub retain_transcript: bool,
 }
 
 impl FaultCampaignConfig {
@@ -254,6 +265,7 @@ impl Default for FaultCampaignConfig {
             heartbeat_loss: 0.0,
             invariant_stride: 1,
             placement: PlacementStrategy::default(),
+            retain_transcript: false,
         }
     }
 }
@@ -265,69 +277,140 @@ impl Default for FaultCampaignConfig {
 /// The log is output, not state: nothing reads it back to decide what
 /// happens next, so a federated shard's transcript lives on the engine
 /// and survives a shard crash untouched (DESIGN §17).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// The log is a streaming sink. Each push formats its line into one
+/// reused buffer, folds the line and its `'\n'` into a running FNV-1a
+/// state, and counts lines and bytes; so [`EventLog::digest`] is O(1)
+/// and always equals FNV-1a over what [`EventLog::render`] would
+/// produce with every line kept. Lines are kept only when the campaign
+/// sets [`FaultCampaignConfig::retain_transcript`]; otherwise
+/// [`EventLog::lines`] is empty and [`EventLog::render`] is `""`.
+///
+/// Equality compares the digest, the line count and the byte count,
+/// and the lines too when both sides kept them — so a retaining and a
+/// streaming log of the same campaign are equal.
+#[derive(Debug, Clone)]
 pub struct EventLog {
-    lines: Vec<String>,
+    /// Running FNV-1a state over every line pushed so far.
+    hash: u64,
+    len: usize,
+    bytes: usize,
+    /// The last line pushed (the reused formatting buffer).
+    last: String,
+    /// Every line, when the campaign retains its transcript.
+    lines: Option<Vec<String>>,
 }
 
+impl Default for EventLog {
+    fn default() -> Self {
+        EventLog::new(false)
+    }
+}
+
+impl PartialEq for EventLog {
+    fn eq(&self, other: &Self) -> bool {
+        let kept_lines_agree = match (&self.lines, &other.lines) {
+            (Some(a), Some(b)) => a == b,
+            _ => true,
+        };
+        self.hash == other.hash
+            && self.len == other.len
+            && self.bytes == other.bytes
+            && kept_lines_agree
+    }
+}
+
+impl Eq for EventLog {}
+
 impl EventLog {
+    /// An empty log that keeps its lines iff `retain`.
+    pub(crate) fn new(retain: bool) -> Self {
+        EventLog {
+            hash: FNV1A_OFFSET,
+            len: 0,
+            bytes: 0,
+            last: String::with_capacity(128),
+            lines: retain.then(Vec::new),
+        }
+    }
+
     pub(crate) fn push(&mut self, at_h: f64, text: &str) {
         self.push_args(at_h, format_args!("{text}"));
     }
 
-    /// Formats one line straight into its final String — prefix and text
-    /// in a single pass, no intermediate allocation. Lines number
-    /// themselves in push order. This is the event loop's hot path: at
-    /// 10⁵ arrivals the naive `format!("[{idx:04}] t={at_h:010.4}h {text}")`
-    /// over a separately formatted `text` costs more than the admission
-    /// work it records.
+    /// Formats one line into the reused buffer — prefix and text in a
+    /// single pass, no allocation once the buffer has grown — and folds
+    /// it into the digest and counters. Lines number themselves in push
+    /// order. This is the event loop's hot path: at 10⁵ arrivals the
+    /// naive `format!("[{idx:04}] t={at_h:010.4}h {text}")` over a
+    /// separately formatted `text` costs more than the admission work it
+    /// records.
     pub(crate) fn push_args(&mut self, at_h: f64, args: fmt::Arguments<'_>) {
-        let mut line = String::with_capacity(128);
+        let line = &mut self.last;
+        line.clear();
         line.push('[');
-        push_padded_int(&mut line, self.lines.len() as u64, 4);
+        push_padded_int(line, self.len as u64, 4);
         line.push_str("] t=");
-        push_hours(&mut line, at_h);
+        push_hours(line, at_h);
         line.push_str("h ");
         if let Some(text) = args.as_str() {
             line.push_str(text);
         } else {
-            use fmt::Write as _;
             let _ = line.write_fmt(args);
         }
-        self.lines.push(line);
+        self.hash = fnv1a_extend(fnv1a_extend(self.hash, line.as_bytes()), b"\n");
+        self.len += 1;
+        self.bytes += line.len() + 1;
+        if let Some(lines) = &mut self.lines {
+            lines.push(line.clone());
+        }
     }
 
-    /// The log lines, in event order.
+    /// The kept log lines, in event order; empty unless the campaign set
+    /// [`FaultCampaignConfig::retain_transcript`].
     pub fn lines(&self) -> &[String] {
-        &self.lines
+        self.lines.as_deref().unwrap_or_default()
     }
 
-    /// Renders the log to one newline-joined string (the byte sequence
-    /// the determinism digest is computed over).
+    /// The last line pushed (`""` before the first), kept whether or
+    /// not the log retains its lines.
+    pub(crate) fn last_line(&self) -> &str {
+        &self.last
+    }
+
+    /// Number of lines pushed, kept or not.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether nothing was pushed.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Bytes of the rendered log (every line plus its `'\n'`), kept or
+    /// not.
+    pub fn bytes(&self) -> usize {
+        self.bytes
+    }
+
+    /// Renders the kept lines to one newline-joined string: the byte
+    /// sequence the digest covers when the log retains its lines, and
+    /// `""` when it does not.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        for line in &self.lines {
+        for line in self.lines() {
             out.push_str(line);
             out.push('\n');
         }
         out
     }
 
-    /// FNV-1a digest of [`EventLog::render`], streamed line by line so
-    /// the multi-megabyte joined string is never materialized.
+    /// FNV-1a digest of every line pushed, each followed by `'\n'` —
+    /// the digest of [`EventLog::render`] when the lines are kept. Kept
+    /// up to date at every push, so this is O(1).
     pub fn digest(&self) -> u64 {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                hash ^= u64::from(b);
-                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        for line in &self.lines {
-            eat(line.as_bytes());
-            eat(b"\n");
-        }
-        hash
+        self.hash
     }
 }
 
@@ -669,7 +752,7 @@ impl ShardCore {
             grace_ms: cfg.detection_grace_h * 3_600_000.0,
             hb_end_h: cfg.heartbeat_steps() as f64 * cfg.heartbeat_period_h,
             wal: ShardWal::new(durability, &shard),
-            log: EventLog::default(),
+            log: EventLog::new(cfg.retain_transcript),
             offset,
             custody: Vec::new(),
             shard,
@@ -1079,7 +1162,7 @@ impl ShardCore {
         // Only a failed check pays for the context.
         let violation = |violation| InvariantViolation {
             at_h_milli: (at_h * 1000.0).round() as u64,
-            event: log.lines().last().cloned().unwrap_or_default(),
+            event: log.last_line().to_owned(),
             violation,
         };
         shard.sweep(oracle).map_err(violation)?;
@@ -1981,14 +2064,70 @@ mod tests {
         assert_eq!(s, "0007 123456");
     }
 
-    /// The streamed digest must agree with hashing the rendered log.
+    /// The streamed digest must agree with hashing the rendered log,
+    /// and a log that keeps no lines must count and hash the same.
     #[test]
     fn streamed_digest_matches_rendered_digest() {
-        let mut log = EventLog::default();
-        log.push(0.25, "arrive  req0");
-        log.push_args(17.333333, format_args!("depart  req{} -> gone", 0));
-        assert_eq!(log.digest(), fnv1a(log.render().as_bytes()));
-        assert!(log.lines()[1].starts_with("[0001] t=00017.3333h "));
+        let (mut kept, mut streamed) = (EventLog::new(true), EventLog::default());
+        assert_eq!(kept.digest(), fnv1a(b""));
+        for log in [&mut kept, &mut streamed] {
+            log.push(0.25, "arrive  req0");
+            log.push_args(17.333333, format_args!("depart  req{} -> gone", 0));
+        }
+        assert_eq!(kept.digest(), fnv1a(kept.render().as_bytes()));
+        assert_eq!(kept.bytes(), kept.render().len());
+        assert!(kept.lines()[1].starts_with("[0001] t=00017.3333h "));
+        assert_eq!(kept.last_line(), kept.lines()[1]);
+        assert_eq!(streamed.last_line(), kept.last_line());
+        assert!(streamed.lines().is_empty());
+        assert_eq!((streamed.len(), streamed.bytes()), (2, kept.bytes()));
+        assert_eq!(streamed, kept);
+        streamed.push(18.0, "depart  req1 -> gone");
+        assert_ne!(streamed, kept);
+    }
+
+    /// A violation names the event being processed from the log's last
+    /// line, which a log that keeps no lines still holds: an unretained
+    /// shard reports the very line its retained twin logged last.
+    #[test]
+    fn a_violation_names_its_event_without_retention() {
+        let violation = |retain_transcript: bool| {
+            let cfg = FaultCampaignConfig {
+                retain_transcript,
+                ..FaultCampaignConfig::default()
+            };
+            let inert = DurabilityConfig {
+                enabled: false,
+                ..DurabilityConfig::default()
+            };
+            let mut core = ShardCore::new(Shard::new(build_space(cfg.devices), cfg), 0, &inert);
+            for (req, at_h) in [(0, 0.5), (1, 0.75)] {
+                core.advance(at_h);
+                let a = Arrival {
+                    req,
+                    graph_index: req % 2,
+                    client_local: 0,
+                    via: None,
+                };
+                core.arrival(a, app_template(a.graph_index).1, at_h, None)
+                    .expect("a fresh space admits");
+                core.finish_event(at_h).expect("no corruption yet");
+            }
+            core.shard.server.corrupt_residual(1, 0, -1.0);
+            let v = core.finish_event(0.75).expect_err("a negative residual");
+            (v, core.log)
+        };
+        let (streamed, streamed_log) = violation(false);
+        let (kept, kept_log) = violation(true);
+        assert!(streamed_log.lines().is_empty());
+        let last = kept_log.lines().last().expect("the twin kept its lines");
+        assert!(last.contains("arrive  req1"), "{last}");
+        assert_eq!(&streamed.event, last);
+        assert_eq!(streamed, kept);
+        assert!(
+            streamed.violation.contains("negative residual"),
+            "{streamed}"
+        );
     }
 
     #[test]
@@ -2007,7 +2146,7 @@ mod tests {
         let cfg = FaultCampaignConfig::default();
         let a = run_fault_campaign(&cfg).expect("no violations");
         let b = run_fault_campaign(&cfg).expect("no violations");
-        assert_eq!(a.log.render(), b.log.render(), "byte-identical logs");
+        assert_eq!(a.log, b.log, "identical logs");
         assert_eq!(a.report, b.report);
     }
 
@@ -2019,7 +2158,7 @@ mod tests {
             ..FaultCampaignConfig::default()
         })
         .expect("no violations");
-        assert_ne!(a.log.render(), b.log.render());
+        assert_ne!(a.log, b.log);
         assert_ne!(a.report.log_digest, b.report.log_digest);
     }
 
@@ -2157,7 +2296,7 @@ mod tests {
         let cfg = imperfect_cfg();
         let a = run_fault_campaign(&cfg).expect("no violations");
         let b = run_fault_campaign(&cfg).expect("no violations");
-        assert_eq!(a.log.render(), b.log.render(), "byte-identical logs");
+        assert_eq!(a.log, b.log, "identical logs");
         assert_eq!(a.report, b.report);
     }
 
@@ -2206,7 +2345,7 @@ mod tests {
         assert!(cfg.perfect_detection());
         let explicit = run_fault_campaign(&cfg).expect("no violations");
         let default = run_fault_campaign(&FaultCampaignConfig::default()).expect("no violations");
-        assert_eq!(explicit.log.render(), default.log.render());
+        assert_eq!(explicit.log, default.log);
         assert_eq!(explicit.report, default.report);
     }
 

@@ -2406,7 +2406,7 @@ mod tests {
             let b = run_federation_campaign(&off).expect("durability off");
             assert_eq!(a.combined_digest, b.combined_digest);
             for (x, y) in a.shards.iter().zip(&b.shards) {
-                assert_eq!(x.log.render(), y.log.render());
+                assert_eq!(x.log, y.log);
                 assert_eq!(x.report, y.report);
             }
             assert!(a.stats.wal_records > 0, "the journal actually recorded");

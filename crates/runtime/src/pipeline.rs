@@ -307,7 +307,7 @@ mod tests {
                 },
             )
             .expect("batched holds");
-            assert_eq!(serial.log.render(), batched.log.render());
+            assert_eq!(serial.log, batched.log);
             assert_eq!(serial.report, batched.report);
             // The serial digest itself is pinned in
             // tests/fault_injection.rs; equality transfers the pin.
@@ -335,7 +335,7 @@ mod tests {
             },
         )
         .expect("batched holds");
-        assert_eq!(serial.log.render(), batched.log.render());
+        assert_eq!(serial.log, batched.log);
         assert_eq!(serial.report, batched.report);
         assert!(serial.report.suspicions > 0, "detector actually fired");
     }

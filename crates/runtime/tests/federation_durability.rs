@@ -72,8 +72,7 @@ fn crash_free_durability_is_byte_identical_at_1_2_4_8_shards() {
         assert_eq!(a.combined_digest, b.combined_digest, "{shards} shards");
         for (s, (x, y)) in a.shards.iter().zip(&b.shards).enumerate() {
             assert_eq!(
-                x.log.render(),
-                y.log.render(),
+                x.log, y.log,
                 "shard {s}/{shards} event log drifted under journaling"
             );
             assert_eq!(x.report, y.report, "shard {s}/{shards} report drifted");
@@ -95,7 +94,7 @@ fn crash_free_durability_is_byte_identical_under_imperfect_detection() {
         let b = run_federation_campaign(&off).expect("durability-off run");
         assert_eq!(a.combined_digest, b.combined_digest, "{shards} shards");
         for (x, y) in a.shards.iter().zip(&b.shards) {
-            assert_eq!(x.log.render(), y.log.render());
+            assert_eq!(x.log, y.log);
             assert_eq!(x.report, y.report);
         }
     }

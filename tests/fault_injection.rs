@@ -60,13 +60,17 @@ fn soak_fifty_random_schedules_keep_all_invariants() {
 }
 
 /// Same seed, same config → byte-identical event log and equal report.
+/// The transcript is retained, so the log comparison covers every line.
 #[test]
 fn same_seed_reproduces_byte_identical_trace() {
-    let cfg = FaultCampaignConfig::default();
+    let cfg = FaultCampaignConfig {
+        retain_transcript: true,
+        ..FaultCampaignConfig::default()
+    };
     let a = run_fault_campaign(&cfg).expect("campaign holds its invariants");
     let b = run_fault_campaign(&cfg).expect("campaign holds its invariants");
-    assert_eq!(a.log.render(), b.log.render());
-    assert_eq!(a.log.render().as_bytes(), b.log.render().as_bytes());
+    assert_eq!(a.log.lines().len(), a.log.len(), "every line was kept");
+    assert_eq!(a.log, b.log);
     assert_eq!(a.report, b.report);
 }
 
@@ -111,7 +115,7 @@ fn recovery_log_is_identical_across_thread_settings() {
     std::env::set_var("UBIQOS_THREADS", "8");
     let threaded = run_fault_campaign(&cfg).expect("threaded campaign holds");
     std::env::remove_var("UBIQOS_THREADS");
-    assert_eq!(serial.log.render(), threaded.log.render());
+    assert_eq!(serial.log, threaded.log);
     assert_eq!(serial.report, threaded.report);
     assert!(
         serial.report.parked + serial.report.degraded > 0,
@@ -145,6 +149,7 @@ proptest! {
             partitions: 2,
             partition_max: 2,
             heartbeat_loss: loss,
+            retain_transcript: true,
             ..FaultCampaignConfig::default()
         };
         let (serial, threaded) = {
@@ -170,7 +175,7 @@ proptest! {
             suspicion_order(&serial.log.render()),
             suspicion_order(&threaded.log.render())
         );
-        prop_assert_eq!(serial.log.render(), threaded.log.render());
+        prop_assert_eq!(&serial.log, &threaded.log);
         prop_assert_eq!(&serial.report, &threaded.report);
     }
 }

@@ -132,14 +132,12 @@ fn assert_three_runtimes_agree(cfg: &FederationConfig, what: &str) -> CampaignOu
     .expect("batched run");
     let fed = run_federation_campaign_with(cfg, &schedule).expect("federated run");
     assert_eq!(
-        batched.log.render(),
-        serial.log.render(),
+        batched.log, serial.log,
         "{what}: the batched event log must be byte-identical to the serial loop"
     );
     assert_eq!(batched.report, serial.report, "{what}: batched report");
     assert_eq!(
-        fed.shards[0].log.render(),
-        serial.log.render(),
+        fed.shards[0].log, serial.log,
         "{what}: the 1-shard event log must be byte-identical to the serial loop"
     );
     assert_eq!(

@@ -51,6 +51,7 @@ fn directed_cfg(seed: u64) -> FederationConfig {
             requests: 1,
             horizon_h: 12.0,
             faults: 0,
+            retain_transcript: true,
             ..FaultCampaignConfig::default()
         },
         shards: 2,

@@ -84,11 +84,7 @@ fn assert_converged(perfect: &FederationOutcome, lossy: &FederationOutcome, tag:
             p.report.log_digest, l.report.log_digest,
             "[{tag}] shard{s} event-log digest diverged"
         );
-        assert_eq!(
-            p.log.render(),
-            l.log.render(),
-            "[{tag}] shard{s} event log diverged"
-        );
+        assert_eq!(p.log, l.log, "[{tag}] shard{s} event log diverged");
     }
     assert_eq!(
         perfect.combined_digest, lossy.combined_digest,
@@ -111,7 +107,7 @@ fn zero_loss_lossy_transport_is_byte_identical_to_the_bare_channel() {
             run_federation_campaign_lossy(&cfg, &schedule, LossConfig::perfect())
                 .expect("wrapped run");
         for (s, (b, w)) in bare.shards.iter().zip(wrapped.shards.iter()).enumerate() {
-            assert_eq!(b.log.render(), w.log.render(), "shard{s} log bytes");
+            assert_eq!(b.log, w.log, "shard{s} log bytes");
             assert_eq!(b.report, w.report, "shard{s} report");
         }
         assert_eq!(bare.stats, wrapped.stats, "stats at {shards} shards");

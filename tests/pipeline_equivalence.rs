@@ -41,8 +41,7 @@ fn assert_batched_matches_serial(cfg: &FaultCampaignConfig, label: &str) {
                 panic!("{label} b{batch_size} t{threads}: batched invariant violated: {v}")
             });
             assert_eq!(
-                serial.log.render(),
-                batched.log.render(),
+                serial.log, batched.log,
                 "{label} b{batch_size} t{threads}: event logs diverged"
             );
             assert_eq!(
