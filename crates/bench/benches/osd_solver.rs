@@ -1,5 +1,6 @@
-//! Branch-and-bound OSD solver benchmarks: the suffix-bound ablation and
-//! the serial-vs-parallel comparison on Table 1-sized instances.
+//! OSD solver benchmarks: the branch-and-bound suffix-bound ablation and
+//! serial-vs-parallel comparison on Table 1-sized instances, and the
+//! hierarchical solver on large graphs beyond the exact limit.
 //!
 //! The same measurements, averaged over more instances and written to
 //! `BENCH_osd.json`, are produced by
@@ -8,7 +9,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use ubiqos_distribution::{ExhaustiveOptimal, OsdProblem, ServiceDistributor};
+use ubiqos_bench::osd::{large_environment, large_graph};
+use ubiqos_distribution::{ExhaustiveOptimal, HierarchicalSolver, OsdProblem, ServiceDistributor};
 use ubiqos_model::Weights;
 use ubiqos_sim::GraphGenConfig;
 
@@ -75,5 +77,29 @@ fn bench_serial_vs_parallel(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_bound_ablation, bench_serial_vs_parallel);
+/// Cold hierarchical solves (clustering, coarse B&B, refinement) on the
+/// `repro osd` large-graph instances.
+fn bench_hierarchical(c: &mut Criterion) {
+    let weights = Weights::default();
+    let mut group = c.benchmark_group("osd/hierarchical");
+    group.sample_size(10);
+    for nodes in [48usize, 64, 100] {
+        let graph = large_graph(nodes, &mut StdRng::seed_from_u64(0x1a36 ^ nodes as u64));
+        let env = large_environment(nodes);
+        group.bench_with_input(BenchmarkId::from_parameter(nodes), &graph, |b, graph| {
+            b.iter(|| {
+                let p = OsdProblem::new(graph, &env, &weights);
+                HierarchicalSolver::new().distribute(&p)
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_bound_ablation,
+    bench_serial_vs_parallel,
+    bench_hierarchical
+);
 criterion_main!(benches);

@@ -365,7 +365,7 @@ const LARGE_CPU_PER_MEM: f64 = 1.15;
 /// Sparse large-graph generator for the hierarchical rungs: a DAG with
 /// 1-2 forward edges per node, per-component demand small against the
 /// device ladder, CPU locked to `LARGE_CPU_PER_MEM`× memory.
-fn large_graph(nodes: usize, rng: &mut StdRng) -> ServiceGraph {
+pub fn large_graph(nodes: usize, rng: &mut StdRng) -> ServiceGraph {
     use rand::Rng;
     let mut g = ServiceGraph::new();
     let ids: Vec<_> = (0..nodes)
@@ -403,7 +403,7 @@ fn large_graph(nodes: usize, rng: &mut StdRng) -> ServiceGraph {
 /// tightly — scaled so total capacity is ≈1.5× the expected demand of an
 /// `nodes`-component instance (the cheapest device holds ~60% of the
 /// mass, so every instance genuinely spills over).
-fn large_environment(nodes: usize) -> Environment {
+pub fn large_environment(nodes: usize) -> Environment {
     const LAMBDA: [f64; 3] = [1.0, 0.8, 0.6];
     let demand_mem = 1.8 * nodes as f64;
     let demand_cpu = LARGE_CPU_PER_MEM * demand_mem;

@@ -13,7 +13,12 @@
 //!    is reached, subject to the merged aggregate demand still fitting
 //!    some device. Pinned components stay singleton clusters. Each merge
 //!    records its two children, forming a binary merge tree that
-//!    refinement later unwinds.
+//!    refinement later unwinds. A merge costs O(E log E + n) plus one
+//!    in-place fit check per candidate pair: only edge-connected pairs
+//!    weigh more than zero, so the argmax runs over the graph's edges
+//!    grouped by cluster pair, and only when none of those pairs is
+//!    eligible does a lex scan take the first eligible zero-weight pair.
+//!    Both steps pick the pair a dense scan of every cluster pair would.
 //! 2. **Solve coarse.** The abstract graph — aggregate demands per
 //!    cluster, aggregate throughput per cluster pair — is solved with the
 //!    existing branch-and-bound, warm-started and capped by a per-round
@@ -58,6 +63,7 @@
 
 use crate::algorithm::{seed_with_pins, ServiceDistributor};
 use crate::bounds::NodeCostTable;
+use crate::device::Device;
 use crate::error::DistributionError;
 use crate::optimal::{ExhaustiveOptimal, SolveStats};
 use crate::problem::OsdProblem;
@@ -269,17 +275,62 @@ fn add_stats(total: &mut SolveStats, s: &SolveStats) {
     total.budget_exhausted |= s.budget_exhausted;
 }
 
+/// Position of each concrete component's cluster in `clusters`.
+fn cluster_of(clusters: &[Cluster], n: usize) -> Vec<usize> {
+    let mut of = vec![0usize; n];
+    for (pos, cl) in clusters.iter().enumerate() {
+        for &m in &cl.members {
+            of[m] = pos;
+        }
+    }
+    of
+}
+
+/// Whether the aggregate demand `a + b` fits some device: the arithmetic
+/// of `a.checked_add(b)` followed by `fits_within`, without building the
+/// sum.
+fn merge_fits(a: &ResourceVector, b: &ResourceVector, devices: &[Device]) -> bool {
+    let (a, b) = (a.amounts(), b.amounts());
+    a.len() == b.len()
+        && devices.iter().any(|d| {
+            let ra = d.availability().amounts();
+            ra.len() == a.len()
+                && a.iter()
+                    .zip(b)
+                    .zip(ra)
+                    .all(|((x, y), r)| x + y <= r + EPSILON)
+        })
+}
+
 /// Deterministic heavy-edge agglomeration down to `target` clusters.
 ///
+/// Each merge takes the heaviest eligible cluster pair, ties to the
+/// lexicographically smallest position pair. Eligible means both
+/// clusters are unpinned (pinned clusters never merge) and their
+/// aggregate demand still fits some device (a merge that fits none would
+/// make the coarse problem spuriously infeasible). Stops early when no
+/// eligible pair remains.
+///
+/// Only edge-connected pairs can weigh more than zero, so the argmax runs
+/// over the inter-cluster edges, kept as `(lo, hi, edge index)` position
+/// triples sorted lexicographically: each pair's weight sums its edges in
+/// edge order, the same bits as a dense `weight[lo][hi] += throughput`,
+/// and the pairs are visited in lex order. Only when no positive-weight
+/// pair is eligible does a lex scan take the first eligible pair:
+/// zero-weight merges stay legal so sparse graphs still reach the
+/// target. After a merge the triples are re-keyed in place and the edges
+/// inside the new cluster drop out. A merge costs O(E log E + n) plus
+/// one in-place fit check per candidate pair, and moves the surviving
+/// cluster's merge tree instead of copying it.
+///
 /// The returned vector is sorted by cluster id (smallest member index);
-/// merging two clusters keeps that invariant because the merged cluster
-/// inherits the smaller id and the other entry is removed. Stops early
-/// when no eligible pair remains (pinned clusters never merge, and a
-/// merge whose aggregate demand fits no device would make the coarse
-/// problem spuriously infeasible).
+/// merging keeps that invariant because the merged cluster inherits the
+/// smaller id and the other entry is removed.
 fn cluster_graph(problem: &OsdProblem<'_>, pins: &[Option<usize>], target: usize) -> Vec<Cluster> {
     let graph = problem.graph();
-    let env = problem.env();
+    let devices = problem.env().devices();
+    // Position `i` starts as component `i`'s singleton; position order
+    // stays id order.
     let mut clusters: Vec<Cluster> = graph
         .components()
         .map(|(id, c)| Cluster {
@@ -289,69 +340,71 @@ fn cluster_graph(problem: &OsdProblem<'_>, pins: &[Option<usize>], target: usize
             children: None,
         })
         .collect();
+    let (throughput, mut cross): (Vec<f64>, Vec<(usize, usize, usize)>) = graph
+        .edges()
+        .enumerate()
+        .map(|(i, e)| {
+            let (a, b) = (e.from.index(), e.to.index());
+            (e.throughput, (a.min(b), a.max(b), i))
+        })
+        .unzip();
+    let eligible = |clusters: &[Cluster], lo: usize, hi: usize| {
+        clusters[lo].pin.is_none()
+            && clusters[hi].pin.is_none()
+            && merge_fits(&clusters[lo].demand, &clusters[hi].demand, devices)
+    };
 
     while clusters.len() > target {
-        let cn = clusters.len();
-        let mut of = vec![0usize; graph.component_count()];
-        for (pos, cl) in clusters.iter().enumerate() {
-            for &m in &cl.members {
-                of[m] = pos;
-            }
-        }
-        // Inter-cluster throughput, folded onto unordered position pairs
-        // (position order equals id order by the sort invariant).
-        let mut weight = vec![0.0f64; cn * cn];
-        for e in graph.edges() {
-            let (a, b) = (of[e.from.index()], of[e.to.index()]);
-            if a != b {
-                let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-                weight[lo * cn + hi] += e.throughput;
-            }
-        }
-        // Heaviest eligible pair; strict `>` keeps the first (smallest
-        // id pair) on ties. Zero-weight merges are allowed so sparse
-        // graphs still reach the target.
+        cross.sort();
+        // Heaviest eligible positive-weight pair; strict `>` in lex order
+        // keeps the smallest pair on ties.
         let mut best: Option<(f64, usize, usize)> = None;
-        for lo in 0..cn {
-            if clusters[lo].pin.is_some() {
-                continue;
-            }
-            for hi in (lo + 1)..cn {
-                if clusters[hi].pin.is_some() {
-                    continue;
-                }
-                let Ok(merged) = clusters[lo].demand.checked_add(&clusters[hi].demand) else {
-                    continue;
-                };
-                if !env
-                    .devices()
-                    .iter()
-                    .any(|d| merged.fits_within(d.availability()))
-                {
-                    continue;
-                }
-                let w = weight[lo * cn + hi];
-                if best.is_none_or(|(bw, _, _)| w > bw) {
-                    best = Some((w, lo, hi));
-                }
+        for run in cross.chunk_by(|x, y| (x.0, x.1) == (y.0, y.1)) {
+            let (lo, hi, _) = run[0];
+            let w = run
+                .iter()
+                .fold(0.0f64, |acc, &(_, _, i)| acc + throughput[i]);
+            if w > 0.0 && best.is_none_or(|(bw, _, _)| w > bw) && eligible(&clusters, lo, hi) {
+                best = Some((w, lo, hi));
             }
         }
-        let Some((_, lo, hi)) = best else { break };
+        let cn = clusters.len();
+        let pair = match best {
+            Some((_, lo, hi)) => Some((lo, hi)),
+            // Every eligible pair weighs zero: take the first in lex order.
+            None => (0..cn)
+                .flat_map(|lo| ((lo + 1)..cn).map(move |hi| (lo, hi)))
+                .find(|&(lo, hi)| eligible(&clusters, lo, hi)),
+        };
+        let Some((lo, hi)) = pair else { break };
         let hi_cl = clusters.remove(hi);
-        let lo_cl = clusters[lo].clone();
-        let mut members = lo_cl.members.clone();
+        let slot = &mut clusters[lo];
+        let mut members = slot.members.clone();
         members.extend_from_slice(&hi_cl.members);
         members.sort_unstable();
-        let demand = lo_cl
+        let demand = slot
             .demand
             .checked_add(&hi_cl.demand)
             .expect("dimensions validated");
-        clusters[lo] = Cluster {
+        let merged = Cluster {
             members,
             demand,
             pin: None,
-            children: Some(Box::new((lo_cl, hi_cl))),
+            children: None,
         };
+        let lo_cl = std::mem::replace(slot, merged);
+        slot.children = Some(Box::new((lo_cl, hi_cl)));
+        // `hi` folds into `lo`; later positions shift down by one.
+        let moved = |p: usize| match p.cmp(&hi) {
+            std::cmp::Ordering::Less => p,
+            std::cmp::Ordering::Equal => lo,
+            std::cmp::Ordering::Greater => p - 1,
+        };
+        cross.retain_mut(|e| {
+            let (a, b) = (moved(e.0), moved(e.1));
+            *e = (a.min(b), a.max(b), e.2);
+            a != b
+        });
     }
     clusters
 }
@@ -364,12 +417,7 @@ fn cluster_graph(problem: &OsdProblem<'_>, pins: &[Option<usize>], target: usize
 fn build_coarse_graph(problem: &OsdProblem<'_>, clusters: &[Cluster]) -> ServiceGraph {
     let graph = problem.graph();
     let cn = clusters.len();
-    let mut of = vec![0usize; graph.component_count()];
-    for (pos, cl) in clusters.iter().enumerate() {
-        for &m in &cl.members {
-            of[m] = pos;
-        }
-    }
+    let of = cluster_of(clusters, graph.component_count());
     let mut coarse = ServiceGraph::new();
     let ids: Vec<ComponentId> = clusters
         .iter()
@@ -585,12 +633,7 @@ fn pick_split(
     let graph = problem.graph();
     let env = problem.env();
     let w_net = problem.weights().network();
-    let mut of = vec![0usize; graph.component_count()];
-    for (pos, cl) in clusters.iter().enumerate() {
-        for &m in &cl.members {
-            of[m] = pos;
-        }
-    }
+    let of = cluster_of(clusters, graph.component_count());
     let mut gain = vec![0.0f64; clusters.len()];
     for (pos, cl) in clusters.iter().enumerate() {
         let d = coarse_assign[pos];
@@ -760,12 +803,10 @@ impl ServiceDistributor for HierarchicalSolver {
                         add_stats(&mut stats, &s);
                     }
                     let coarse_assign = coarse_cut.assignment();
-                    let mut concrete = vec![0usize; n];
-                    for (pos, cl) in clusters.iter().enumerate() {
-                        for &m in &cl.members {
-                            concrete[m] = coarse_assign[pos];
-                        }
-                    }
+                    let concrete: Vec<usize> = cluster_of(&clusters, n)
+                        .into_iter()
+                        .map(|pos| coarse_assign[pos])
+                        .collect();
                     let cut = Cut::from_assignment(graph, concrete.clone(), k)
                         .expect("projection is complete and in range");
                     debug_assert!(
@@ -863,8 +904,10 @@ impl ServiceDistributor for HierarchicalSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device::Device;
     use crate::environment::Environment;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use ubiqos_model::Weights;
 
     fn comp(name: &str, mem: f64, cpu: f64) -> ServiceComponent {
@@ -1092,5 +1135,217 @@ mod tests {
         let warm_cut = warm.distribute(&p).unwrap();
         // Seeding the cold result can only keep or improve the incumbent.
         assert!(p.cost(&warm_cut) <= p.cost(&cut) + 1e-12);
+    }
+
+    /// How often the dense scan met the cases the edge-driven selection
+    /// handles separately.
+    #[derive(Debug, Default)]
+    struct OracleHits {
+        /// Merges where the heaviest positive-weight unpinned pair fit no
+        /// device, so a lighter pair won.
+        heaviest_rejected: usize,
+        /// Merges of a zero-weight pair (no positive-weight pair was
+        /// eligible).
+        zero_weight: usize,
+    }
+
+    /// Reference for `cluster_graph`'s selection rule, the dense scan:
+    /// per merge, a `cn × cn` weight matrix and a lex scan of every
+    /// cluster pair with a strict `>`, then a deep copy of the surviving
+    /// cluster. Also counts the [`OracleHits`] cases.
+    fn dense_cluster_graph(
+        problem: &OsdProblem<'_>,
+        pins: &[Option<usize>],
+        target: usize,
+    ) -> (Vec<Cluster>, OracleHits) {
+        let graph = problem.graph();
+        let env = problem.env();
+        let mut hits = OracleHits::default();
+        let mut clusters: Vec<Cluster> = graph
+            .components()
+            .map(|(id, c)| Cluster {
+                members: vec![id.index()],
+                demand: c.resources().clone(),
+                pin: pins[id.index()],
+                children: None,
+            })
+            .collect();
+
+        while clusters.len() > target {
+            let cn = clusters.len();
+            let of = cluster_of(&clusters, graph.component_count());
+            let mut weight = vec![0.0f64; cn * cn];
+            for e in graph.edges() {
+                let (a, b) = (of[e.from.index()], of[e.to.index()]);
+                if a != b {
+                    let (lo, hi) = if a < b { (a, b) } else { (b, a) };
+                    weight[lo * cn + hi] += e.throughput;
+                }
+            }
+            let mut best: Option<(f64, usize, usize)> = None;
+            let mut heaviest: Option<(f64, bool)> = None; // (weight, eligible)
+            for lo in 0..cn {
+                if clusters[lo].pin.is_some() {
+                    continue;
+                }
+                for hi in (lo + 1)..cn {
+                    if clusters[hi].pin.is_some() {
+                        continue;
+                    }
+                    let w = weight[lo * cn + hi];
+                    let fits = clusters[lo]
+                        .demand
+                        .checked_add(&clusters[hi].demand)
+                        .is_ok_and(|merged| {
+                            env.devices()
+                                .iter()
+                                .any(|d| merged.fits_within(d.availability()))
+                        });
+                    if w > 0.0 && heaviest.is_none_or(|(hw, _)| w > hw) {
+                        heaviest = Some((w, fits));
+                    }
+                    if fits && best.is_none_or(|(bw, _, _)| w > bw) {
+                        best = Some((w, lo, hi));
+                    }
+                }
+            }
+            if heaviest.is_some_and(|(_, fits)| !fits) {
+                hits.heaviest_rejected += 1;
+            }
+            let Some((w, lo, hi)) = best else { break };
+            if w == 0.0 {
+                hits.zero_weight += 1;
+            }
+            let hi_cl = clusters.remove(hi);
+            let lo_cl = clusters[lo].clone();
+            let mut members = lo_cl.members.clone();
+            members.extend_from_slice(&hi_cl.members);
+            members.sort_unstable();
+            let demand = lo_cl
+                .demand
+                .checked_add(&hi_cl.demand)
+                .expect("dimensions validated");
+            clusters[lo] = Cluster {
+                members,
+                demand,
+                pin: None,
+                children: Some(Box::new((lo_cl, hi_cl))),
+            };
+        }
+        (clusters, hits)
+    }
+
+    /// One merge-tree node as the oracle comparison sees it: members,
+    /// demand bits, pin and whether it has children.
+    type TreeNode = (Vec<usize>, Vec<u64>, Option<usize>, bool);
+
+    /// Pre-order walk of every cluster's merge tree. With the children
+    /// flag, the walk determines each tree exactly.
+    fn forest(clusters: &[Cluster]) -> Vec<TreeNode> {
+        fn walk(cl: &Cluster, out: &mut Vec<TreeNode>) {
+            let bits = cl.demand.amounts().iter().map(|x| x.to_bits()).collect();
+            out.push((cl.members.clone(), bits, cl.pin, cl.splittable()));
+            if let Some(children) = &cl.children {
+                walk(&children.0, out);
+                walk(&children.1, out);
+            }
+        }
+        let mut out = Vec::new();
+        for cl in clusters {
+            walk(cl, &mut out);
+        }
+        out
+    }
+
+    /// A random clustering instance: unpinned and pinned components,
+    /// forward edges that are sparse on some draws and carry zero
+    /// throughput on some edges, devices that on tight draws hold only a
+    /// few components' worth of demand, and a cluster target. Demands
+    /// and capacities sit on a 0.1 grid, so aggregate demand often meets
+    /// a capacity up to rounding (the `EPSILON` slack decides), and
+    /// throughputs on a 0.5 grid, so pair weights often tie.
+    fn oracle_instance(seed: u64) -> (ServiceGraph, Environment, Vec<Option<usize>>, usize) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = rng.gen_range(6usize..48);
+        let k = rng.gen_range(1usize..4);
+        let mut g = ServiceGraph::new();
+        let ids: Vec<ComponentId> = (0..n)
+            .map(|i| {
+                let mem = rng.gen_range(10usize..100) as f64 / 10.0;
+                let cpu = rng.gen_range(10usize..100) as f64 / 10.0;
+                g.add_component(comp(&format!("c{i}"), mem, cpu))
+            })
+            .collect();
+        let pins = (0..n)
+            .map(|_| rng.gen_bool(0.1).then(|| rng.gen_range(0..k)))
+            .collect();
+        let out_degree = if rng.gen_bool(0.3) { 0.4 } else { 2.0 };
+        for i in 0..n {
+            for j in (i + 1)..n {
+                if rng.gen_bool((out_degree / n as f64).min(1.0)) {
+                    let tp = rng.gen_range(0usize..4) as f64 * 0.5;
+                    g.add_edge(ids[i], ids[j], tp).unwrap();
+                }
+            }
+        }
+        // Capacity in components' worth of (mean 5.5) demand.
+        let worth = if rng.gen_bool(0.5) {
+            rng.gen_range(2.0..6.0)
+        } else {
+            n as f64
+        };
+        let mut env = Environment::builder();
+        for d in 0..k {
+            let cap = (55.0 * worth * rng.gen_range(0.5f64..1.0)).round() / 10.0;
+            env = env.device(Device::new(
+                format!("d{d}"),
+                ResourceVector::mem_cpu(cap, cap),
+            ));
+        }
+        let target = [1usize, 2, 4, 8, 16][rng.gen_range(0usize..5)];
+        (g, env.default_bandwidth_mbps(100.0).build(), pins, target)
+    }
+
+    /// Clusters `seed`'s instance with `cluster_graph` and the dense
+    /// scan; returns the oracle's hits when the forests agree.
+    fn matches_dense_scan(seed: u64) -> Result<OracleHits, String> {
+        let (g, env, pins, target) = oracle_instance(seed);
+        let w = Weights::default();
+        let p = OsdProblem::new(&g, &env, &w);
+        let (dense, hits) = dense_cluster_graph(&p, &pins, target);
+        let (got, want) = (forest(&cluster_graph(&p, &pins, target)), forest(&dense));
+        if got == want {
+            Ok(hits)
+        } else {
+            Err(format!(
+                "seed {seed}: merge forests differ\n  edges: {got:?}\n  dense: {want:?}"
+            ))
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The edge-driven selection returns the dense scan's clusters:
+        /// members, demand bits, pins and merge trees.
+        #[test]
+        fn clustering_matches_the_dense_scan(seed in 0u64..1_000_000) {
+            matches_dense_scan(seed)?;
+        }
+    }
+
+    /// Fixed seeds that the oracle confirms reach both cases the
+    /// edge-driven selection treats apart from the plain argmax: the
+    /// zero-weight fallback and a heaviest pair that fits no device.
+    #[test]
+    fn dense_scan_oracle_covers_the_fallback_and_rejected_heaviest_pairs() {
+        let mut total = OracleHits::default();
+        for seed in 0..64 {
+            let hits = matches_dense_scan(seed).unwrap();
+            total.heaviest_rejected += hits.heaviest_rejected;
+            total.zero_weight += hits.zero_weight;
+        }
+        assert!(total.heaviest_rejected > 0, "{total:?}");
+        assert!(total.zero_weight > 0, "{total:?}");
     }
 }

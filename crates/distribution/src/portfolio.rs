@@ -160,14 +160,15 @@ impl ServiceDistributor for SolverPortfolio {
 
         // Stage 1: greedy. A failure here is not fatal — the exact search
         // may still find a cut the heuristic missed.
-        let greedy = self.greedy.distribute(problem).ok();
-        let greedy_cost = greedy.as_ref().map(|cut| problem.cost(cut));
+        let greedy_seed = self
+            .greedy
+            .distribute(problem)
+            .ok()
+            .map(|cut| (problem.cost(&cut), cut.assignment()));
+        let greedy_cost = greedy_seed.as_ref().map(|&(cost, _)| cost);
 
         // Pick the cheaper valid seed: caller's warm start vs greedy.
         let caller = caller_seed.and_then(|s| Self::seed_cost(problem, &s).map(|c| (c, s)));
-        let greedy_seed = greedy
-            .as_ref()
-            .map(|cut| (problem.cost(cut), cut.assignment()));
         let seed = match (caller, greedy_seed) {
             (Some((cc, cs)), Some((gc, gs))) => {
                 if cc < gc || (cc == gc && cs <= gs) {

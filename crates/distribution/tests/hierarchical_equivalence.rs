@@ -8,14 +8,16 @@
 //! hierarchical result must fit, carry a valid optimality bracket, and
 //! be identical between serial and parallel coarse solves. A directed
 //! test pins refinement termination on a pathological instance whose
-//! clusters all have zero bound gap.
+//! clusters all have zero bound gap, and a golden test pins the
+//! portfolio's hierarchical-route placements, costs and certificates on
+//! 48/64/100-node instances.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ubiqos_distribution::{
-    Device, Environment, ExhaustiveOptimal, HierarchicalSolver, OsdProblem, ServiceDistributor,
-    SolverPortfolio,
+    Device, Environment, ExhaustiveOptimal, GapCertificate, GreedyHeuristic, HierarchicalSolver,
+    OsdProblem, PortfolioRoute, ServiceDistributor, SolverPortfolio,
 };
 use ubiqos_graph::{DeviceId, ServiceComponent, ServiceGraph};
 use ubiqos_model::{ResourceVector, Weights};
@@ -273,4 +275,115 @@ fn refinement_improves_a_coarse_incumbent() {
     // Refinement reaches the true optimum cost (the certificate may not
     // prove it, but the placement itself must match the exact solver's).
     assert_eq!(p.cost(&cut).to_bits(), p.cost(&exact).to_bits());
+}
+
+/// A sparse DAG of `nodes` components with CPU demand proportional to
+/// memory demand, and three unequal devices holding 1.5× its expected
+/// total demand: the shape of the large instances `perfbench`'s
+/// `placement` workload routes to the hierarchical solver.
+fn large_instance(nodes: usize, rng: &mut StdRng) -> (ServiceGraph, Environment) {
+    const CPU_PER_MEM: f64 = 1.15;
+    const SHARES: [f64; 3] = [1.0, 0.8, 0.6];
+    let mut g = ServiceGraph::new();
+    let ids: Vec<_> = (0..nodes)
+        .map(|i| {
+            let mem = rng.gen_range(0.8..=2.8);
+            g.add_component(
+                ServiceComponent::builder(format!("svc-{i}"))
+                    .resources(ResourceVector::mem_cpu(mem, CPU_PER_MEM * mem))
+                    .build(),
+            )
+        })
+        .collect();
+    for i in 0..nodes {
+        let downstream = nodes - i - 1;
+        if downstream == 0 {
+            continue;
+        }
+        for _ in 0..rng.gen_range(1..=2usize).min(downstream) {
+            let j = i + 1 + rng.gen_range(0..downstream);
+            let _ = g.add_edge(ids[i], ids[j], rng.gen_range(0.1..=1.0));
+        }
+    }
+    let mem = 1.8 * nodes as f64 * 1.5 / SHARES.iter().sum::<f64>();
+    let mut env = Environment::builder();
+    for (d, &s) in SHARES.iter().enumerate() {
+        env = env.device(Device::new(
+            format!("node{d}"),
+            ResourceVector::mem_cpu(s * mem, s * mem * CPU_PER_MEM),
+        ));
+    }
+    (g, env.default_bandwidth_mbps(1_000.0).build())
+}
+
+/// FNV-1a over everything a hierarchical placement decides: the
+/// assignment, the cost bits and the certificate's bracket.
+fn placement_digest(assignment: &[usize], cost: f64, cert: &GapCertificate) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut fold = |word: u64| {
+        for byte in word.to_le_bytes() {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for &d in assignment {
+        fold(d as u64);
+    }
+    fold(cost.to_bits());
+    fold(cert.lower.to_bits());
+    fold(cert.gap.to_bits());
+    fold(u64::from(cert.rounds));
+    fold(cert.clusters as u64);
+    h
+}
+
+/// Golden pin of the hierarchical route: three greedy-placeable
+/// instances per size, solved by a default [`SolverPortfolio`]. Any
+/// change to clustering, coarse solving or refinement that moves one
+/// placement, its cost or its certificate moves a digest here.
+#[test]
+fn hierarchical_route_placements_are_pinned() {
+    const SIZES: [usize; 3] = [48, 64, 100];
+    const PINNED: [[u64; 3]; 3] = [
+        [
+            0xaa19_0901_a728_597e,
+            0x610e_adbc_e8ce_e79d,
+            0x23dd_4fc4_2f41_a621,
+        ],
+        [
+            0xf414_bf4e_17cb_f6d9,
+            0xbabb_98d1_7e39_e677,
+            0x8e74_916f_6873_caec,
+        ],
+        [
+            0x8c95_5727_776f_cba4,
+            0x5a28_fd6d_87b0_e78c,
+            0x83d0_b0c1_8dc9_17d2,
+        ],
+    ];
+    let w = Weights::default();
+    let mut rng = StdRng::seed_from_u64(0x05d0_0021);
+    let mut got = [[0u64; 3]; 3];
+    for (digests, nodes) in got.iter_mut().zip(SIZES) {
+        let mut filled = 0;
+        while filled < digests.len() {
+            let (g, env) = large_instance(nodes, &mut rng);
+            let p = OsdProblem::new(&g, &env, &w);
+            if GreedyHeuristic::paper().distribute(&p).is_err() {
+                continue;
+            }
+            let mut portfolio = SolverPortfolio::new();
+            let cut = portfolio.distribute(&p).unwrap();
+            assert!(p.fits(&cut));
+            let outcome = portfolio.last_outcome().unwrap();
+            assert_eq!(outcome.route, PortfolioRoute::Hierarchical);
+            let cert = outcome.certificate.unwrap();
+            digests[filled] = placement_digest(&cut.assignment(), p.cost(&cut), &cert);
+            filled += 1;
+        }
+    }
+    assert_eq!(
+        got, PINNED,
+        "hierarchical placements moved ({SIZES:?} nodes)"
+    );
 }
