@@ -1363,8 +1363,8 @@ impl DomainServer {
         )
     }
 
-    /// Runs the two-tier pipeline on behalf of the batched pipeline
-    /// runtime without mutating any *observable* state: nothing is
+    /// Runs the two-tier pipeline on behalf of the campaign shard core's
+    /// speculation memo without mutating any *observable* state: nothing is
     /// charged, downloaded, or logged, virtual time does not advance,
     /// and — unlike [`DomainServer::preview`] — a stale-view outcome
     /// does **not** bump the `stale_views` counter here (the adopting
@@ -1403,9 +1403,9 @@ impl DomainServer {
     ///
     /// Soundness requires the speculation to still be *fresh*: no
     /// charge, refund, fault, reinstatement, lease expiry, or retry
-    /// admission may have occurred since it ran. The pipeline runtime
-    /// enforces this by invalidating its speculation table on every
-    /// mutating event.
+    /// admission may have occurred since it ran. The campaign shard
+    /// core enforces this by clearing its speculation memo in every arm
+    /// that changes configuration inputs.
     ///
     /// # Errors
     ///

@@ -34,7 +34,8 @@
 //!
 //! Replay re-executes recorded `ServerCall`s against the restored
 //! server through the same per-kind call code (`exec_*`) the shard core's
-//! journaled helpers use live — it never duplicates handler branch
+//! journaled helpers use live (a live start adopts a speculation,
+//! `start_session` decomposed) — it never duplicates handler branch
 //! logic. A call whose
 //! live-side bookkeeping depended on the *outcome* (which recovered
 //! session ids were reservation custody at absorb time) carries the
@@ -319,10 +320,10 @@ fn apply_record(shard: &mut Shard, rec: &WalRecord, grace_ms: f64) {
     }
 }
 
-/// `start_session` as [`ServerCall::Start`] records it. The `exec_*`
-/// functions are the per-kind call code: the shard core's journaled helpers
-/// make their live calls through them and [`apply_call`] replays
-/// through them, so a live call and its replay cannot drift apart.
+/// `start_session` as [`ServerCall::Start`] records it, for replay: a
+/// live start adopts the same speculation decomposed. The other `exec_*`
+/// functions are the per-kind call code both the shard core's journaled
+/// helpers and [`apply_call`] go through, so the two cannot drift apart.
 pub(crate) fn exec_start(
     server: &mut DomainServer,
     name: String,

@@ -71,10 +71,12 @@
 //! clock advance, arrival (admit, park on a stale view, or deny),
 //! departure, device fault, same-shard move or switch, heartbeat, lease
 //! sweep, the per-event epilogue (retry drain, stride-gated invariant
-//! sweep, detector soundness), and the end-of-campaign drain. Two
-//! runtimes route events into it. The serial and batched loop here runs
-//! one core over the whole space and keeps only queue setup, batching,
-//! and speculation-table invalidation; [`crate::federation`] runs one
+//! sweep, detector soundness), and the end-of-campaign drain. Every
+//! arrival admits through the core's speculation memo, which the arms
+//! that change configuration inputs clear themselves. Two runtimes
+//! route events into it. The serial and batched loop here runs one
+//! core over the whole space and keeps only queue setup and batching
+//! (priming the memo ahead of commit); [`crate::federation`] runs one
 //! core per shard and keeps only routing, forwarding, handoffs,
 //! transport, turns, and crash recovery. Every recovery pass folds into
 //! the shard's bookkeeping through one absorb, which hands recovered
@@ -96,10 +98,10 @@
 use crate::cost_model::LinkKind;
 use crate::domain_server::{DomainServer, PlacementStrategy, SessionId};
 use crate::durability::{
-    exec_heartbeat, exec_park, exec_relocate, exec_start, exec_stop, DurabilityConfig, ServerCall,
-    ShardWal, WalRecord,
+    exec_heartbeat, exec_park, exec_relocate, exec_stop, DurabilityConfig, ServerCall, ShardWal,
+    WalRecord,
 };
-use crate::pipeline::{PipelineConfig, PipelineStats, SpecTable, Speculated};
+use crate::pipeline::{next_event, PipelineConfig, PipelineStats, SpecMemo, Speculated};
 use crate::profiler::StageTimes;
 use crate::recovery::RecoveryReport;
 use crate::retry_queue::RetryPolicy;
@@ -118,7 +120,7 @@ use ubiqos_graph::{
     AbstractComponentSpec, AbstractServiceGraph, ComponentRole, DeviceId, PinHint, ServiceComponent,
 };
 use ubiqos_model::{QosDimension, QosValue, QosVector, ResourceVector};
-use ubiqos_sim::{EventQueue, FaultKind, FaultScheduleConfig, Request, TimedFault, WorkloadConfig};
+use ubiqos_sim::{EventQueue, FaultKind, FaultScheduleConfig, TimedFault, WorkloadConfig};
 
 /// Mix constant separating the fault-schedule RNG stream from the
 /// workload stream (both derive from the campaign seed).
@@ -743,6 +745,9 @@ pub(crate) struct ShardCore {
     /// Reservation custody handed back by the last arm's absorbs, for
     /// the federated engine to re-tag; the serial loop never has any.
     pub(crate) custody: Vec<Custody>,
+    /// Arrival outcomes nothing has changed since, cleared by every arm
+    /// that changes configuration inputs ([`crate::pipeline`]).
+    pub(crate) memo: SpecMemo,
 }
 
 impl ShardCore {
@@ -755,6 +760,7 @@ impl ShardCore {
             log: EventLog::new(cfg.retain_transcript),
             offset,
             custody: Vec::new(),
+            memo: SpecMemo::new(cfg.devices),
             shard,
         }
     }
@@ -796,18 +802,18 @@ impl ShardCore {
         self.wal.push(|| WalRecord::Untrack { req, sid: id.raw() });
     }
 
-    /// Journaled `start_session`, or the adoption of a `speculated`
-    /// pipeline outcome — `start_session` decomposed, so replay starts
-    /// the session plainly. The `call_*` methods are the only way an arm
-    /// or a handler mutates the server: each journals its
-    /// [`ServerCall`] and calls through the `exec_*` code replay uses.
+    /// Journaled session start: adopts the `speculated` pipeline
+    /// outcome — `start_session` decomposed, so replay starts the
+    /// session plainly. The `call_*` methods are the only way an arm or
+    /// a handler mutates the server: each journals its [`ServerCall`];
+    /// all but this one call through the `exec_*` code replay uses.
     pub(crate) fn call_start(
         &mut self,
         name: impl Fn() -> String,
         graph: AbstractServiceGraph,
         qos: QosVector,
         client_local: usize,
-        speculated: Option<Speculated>,
+        speculated: Speculated,
     ) -> Result<SessionId, ConfigureError> {
         self.wal.push(|| {
             WalRecord::Call(ServerCall::Start {
@@ -817,13 +823,13 @@ impl ShardCore {
                 client_local,
             })
         });
+        let client = DeviceId::from_index(client_local);
         let server = &mut self.shard.server;
-        match speculated {
-            None => exec_start(server, name(), graph, qos, client_local),
-            Some(sp) => {
-                server.admit_speculated(name, graph, qos, DeviceId::from_index(client_local), sp)
-            }
+        let started = server.admit_speculated(name, graph, qos, client, speculated);
+        if started.is_ok() {
+            self.memo.clear();
         }
+        started
     }
 
     /// Journaled `park_arrival`.
@@ -854,35 +860,27 @@ impl ShardCore {
             .push(|| WalRecord::Call(ServerCall::Stop { sid: sid.raw() }));
         let stopped = exec_stop(&mut self.shard.server, sid.raw());
         debug_assert!(stopped.is_some(), "a journaled stop targets a held session");
+        self.memo.clear();
     }
 
     /// The arrival arm: counts the event, then admits.
-    pub(crate) fn arrival(
-        &mut self,
-        a: Arrival,
-        graph: AbstractServiceGraph,
-        at_h: f64,
-        speculated: Option<Speculated>,
-    ) -> Result<bool, ConfigureError> {
+    pub(crate) fn arrival(&mut self, a: Arrival, at_h: f64) -> Result<(), ConfigureError> {
         self.shard.report.events += 1;
-        self.admit_arrival(a, graph, at_h, speculated)
+        self.admit_arrival(a, at_h)
     }
 
-    /// Admits arrival `a` of `graph` (its template), adopting the
-    /// batched loop's `speculated` outcome when given. A start that
-    /// fails on a stale view parks the session instead: the view said
-    /// yes, reality said no at activation, nothing was charged, and the
-    /// session's fate resolves later (counted as admitted). Returns
-    /// whether the session was charged; any other refusal is returned
-    /// untouched, for the caller to forward or deny.
-    pub(crate) fn admit_arrival(
-        &mut self,
-        a: Arrival,
-        graph: AbstractServiceGraph,
-        at_h: f64,
-        speculated: Option<Speculated>,
-    ) -> Result<bool, ConfigureError> {
-        let (i, name) = (a.req, template_name(a.graph_index));
+    /// Admits arrival `a` with the memo's outcome for its `(template,
+    /// client)` key, speculating on a miss.
+    /// A start that fails on a stale view parks the session instead:
+    /// the view said yes, reality said no at activation, nothing was
+    /// charged, and the session's fate resolves later (counted as
+    /// admitted). Any other refusal is returned untouched, for the
+    /// caller to forward or deny.
+    pub(crate) fn admit_arrival(&mut self, a: Arrival, at_h: f64) -> Result<(), ConfigureError> {
+        let (i, (name, graph)) = (a.req, app_template(a.graph_index));
+        let speculated =
+            self.memo
+                .take_or_speculate(&self.shard.server, a.graph_index, a.client_local, &graph);
         let started = self.call_start(
             || format!("{name}-{i}"),
             graph,
@@ -920,7 +918,7 @@ impl ShardCore {
                 Via(a.via)
             ),
         );
-        Ok(charged)
+        Ok(())
     }
 
     /// Denies arrival `a`, witnessed by `err`.
@@ -940,20 +938,18 @@ impl ShardCore {
     }
 
     /// The departure arm: completes request `i`'s tracked session.
-    /// Returns whether one was stopped (the refund changed capacity).
-    pub(crate) fn depart(&mut self, i: usize, at_h: f64) -> bool {
+    pub(crate) fn depart(&mut self, i: usize, at_h: f64) {
         self.shard.report.events += 1;
         let Some(id) = self.shard.active.get(&i).copied() else {
             self.log
                 .push_args(at_h, format_args!("depart  req{i} -> already gone"));
-            return false;
+            return;
         };
         self.untrack(i, id);
         self.shard.report.completed += 1;
         self.call_stop(id);
         self.log
             .push_args(at_h, format_args!("depart  req{i} -> completed ({id})"));
-        true
     }
 
     /// The fault arm of a core that owns the whole device space (the
@@ -977,6 +973,7 @@ impl ShardCore {
         self.wal.push(|| WalRecord::Fault(*fault));
         self.shard.report.events += 1;
         let (line, custody) = apply_fault(&mut self.shard, fault);
+        self.memo.clear();
         self.custody.extend(custody);
         self.log.push(at_h, &line);
     }
@@ -1012,6 +1009,8 @@ impl ShardCore {
             })
         });
         let result = exec_relocate(&mut self.shard.server, id.raw(), to_local, is_move);
+        // Even a failed relocation refunds and recharges the old charge.
+        self.memo.clear();
         let report = &mut self.shard.report;
         let failures = if is_move {
             report.moves += 1;
@@ -1043,18 +1042,19 @@ impl ShardCore {
     /// while the device is down, partitioned, or jammed; otherwise it
     /// renews the lease — journaled even when it reinstates nothing,
     /// since replay must renew the lease too — and a beat from a
-    /// suspected device withdraws the stale suspicion. Returns `None`
-    /// when lost, else whether the device was reinstated.
-    pub(crate) fn heartbeat(&mut self, d: usize, at_h: f64) -> Option<bool> {
+    /// suspected device withdraws the stale suspicion. Returns whether
+    /// the beat arrived.
+    pub(crate) fn heartbeat(&mut self, d: usize, at_h: f64) -> bool {
         let det = &self.shard.det;
         if self.shard.down.contains(&d) || det.partition_depth[d] > 0 || at_h < det.jam_until_h[d] {
-            return None;
+            return false;
         }
         let rec = exec_heartbeat(&mut self.shard.server, d, self.grace_ms);
         let mut removed = Vec::new();
         if let Some(rec) = &rec {
             let (tail, ids) = self.shard.absorb(rec, &mut self.custody);
             removed = ids;
+            self.memo.clear();
             self.shard.report.reinstatements += 1;
             count_pass(rec, &mut self.shard.report);
             self.log.push_args(
@@ -1064,26 +1064,26 @@ impl ShardCore {
         }
         self.wal
             .push(|| WalRecord::Call(ServerCall::Heartbeat { device: d, removed }));
-        Some(rec.is_some())
+        true
     }
 
     /// The lease-check arm: an anti-entropy sweep suspecting *every*
     /// overdue lease, not just the one whose renewal scheduled it.
-    /// Returns whether any device was suspected.
     ///
     /// Same-instant checks share one sweep: heartbeats land on shared
     /// period multiples, so their checks cluster at identical instants
     /// and pop consecutively, and nothing between two of them can
     /// create a new overdue lease — the repeat sweep is provably empty
     /// and skipped (no lines, no counters, no journal record).
-    pub(crate) fn lease_check(&mut self, at_h: f64) -> bool {
+    pub(crate) fn lease_check(&mut self, at_h: f64) {
         if !self.detector_live(at_h) || self.shard.last_sweep_h == Some(at_h) {
-            return false;
+            return;
         }
         self.shard.last_sweep_h = Some(at_h);
         let passes = self.shard.server.expire_overdue_leases();
         let mut removed = Vec::with_capacity(passes.len());
         for (device, rec) in &passes {
+            self.memo.clear();
             let (tail, ids) = self.shard.absorb(rec, &mut self.custody);
             removed.push(ids);
             let report = &mut self.shard.report;
@@ -1104,21 +1104,20 @@ impl ShardCore {
         }
         self.wal
             .push(|| WalRecord::Call(ServerCall::ExpireLeases { removed }));
-        !passes.is_empty()
     }
 
     /// The per-event epilogue: drains parked-session retries that came
     /// due as virtual time advanced, then runs the stride-gated
     /// invariant sweep and the detector-soundness check. Ends the WAL's
     /// event group with a `Mark` and checkpoints when the tail is long
-    /// enough. Returns whether the retry drain moved sessions.
-    pub(crate) fn finish_event(&mut self, at_h: f64) -> Result<bool, InvariantViolation> {
+    /// enough.
+    pub(crate) fn finish_event(&mut self, at_h: f64) -> Result<(), InvariantViolation> {
         let retries = self.shard.server.process_retries();
-        let moved = !retries.is_empty();
         let mut removed = Vec::new();
-        if moved {
+        if !retries.is_empty() {
             let (tail, ids) = self.shard.absorb(&retries, &mut self.custody);
             removed = ids;
+            self.memo.clear();
             self.log
                 .push_args(at_h, format_args!("retry   parked queue -> {tail}"));
         }
@@ -1129,7 +1128,14 @@ impl ShardCore {
         if self.wal.due_checkpoint() {
             self.wal.checkpoint(&self.shard);
         }
-        Ok(moved)
+        Ok(())
+    }
+
+    /// Swaps in `rebuilt`, the shard a crash recovery replayed. The memo
+    /// was derived from the state it replaces, so it goes too.
+    pub(crate) fn restore(&mut self, rebuilt: Shard) {
+        self.shard = rebuilt;
+        self.memo.clear();
     }
 
     /// Journals an event-boundary `Mark`: the counter report plus the
@@ -1393,12 +1399,16 @@ pub fn build_space(devices: usize) -> DomainServer {
     server
 }
 
+/// How many distinct templates [`app_template`] builds; a request's
+/// template is its graph index modulo this.
+pub(crate) const TEMPLATES: usize = 2;
+
 /// The campaign's application templates: index 0 is a consistent WAV
 /// pipeline, index 1 an MPEG source feeding a WAV-only player (forcing
 /// the composer to insert the catalog's MPEG→WAV transcoder).
 pub fn app_template(graph_index: usize) -> (&'static str, AbstractServiceGraph) {
     let mut g = AbstractServiceGraph::new();
-    if graph_index.is_multiple_of(2) {
+    if graph_index.is_multiple_of(TEMPLATES) {
         let s = g.add_spec(AbstractComponentSpec::new("wav-source"));
         let p = g.add_spec(AbstractComponentSpec::new("wav-sink").with_pin(PinHint::ClientDevice));
         g.add_edge(s, p, 1.2).expect("template edge");
@@ -1413,7 +1423,7 @@ pub fn app_template(graph_index: usize) -> (&'static str, AbstractServiceGraph) 
 
 /// The name of [`app_template`]`(graph_index)`, without building it.
 pub(crate) fn template_name(graph_index: usize) -> &'static str {
-    if graph_index.is_multiple_of(2) {
+    if graph_index.is_multiple_of(TEMPLATES) {
         "wav-audio"
     } else {
         "mpeg-audio"
@@ -1484,66 +1494,13 @@ pub fn run_fault_campaign_with(
     run_fault_campaign_impl(cfg, schedule, None)
 }
 
-/// Pulls the next event to commit, refilling the admission batch from
-/// the DES queue when it runs dry.
-///
-/// Serial mode (`pipeline == None`) admits exactly one event per refill
-/// — the historical pop-one loop. Batched mode admits up to
-/// `batch_size` events bounded by the lease-check horizon (see
-/// [`crate::pipeline`] module docs for why that preserves the serial
-/// pop order), then primes the speculation table for the batch's
-/// arrivals on the worker pool before the first commit.
-fn next_event(
-    pending: &mut VecDeque<(f64, CampaignEvent)>,
-    queue: &mut EventQueue<CampaignEvent>,
-    pipeline: Option<&PipelineConfig>,
-    trace: &[Request],
-    spec: &mut SpecTable,
-    core: &ShardCore,
-    batch_wall: &mut Instant,
-) -> Option<(f64, CampaignEvent)> {
-    let cfg = &core.shard.cfg;
-    let server = &core.shard.server;
-    if pending.is_empty() {
-        let max = pipeline.map_or(1, |pl| pl.batch_size.max(1));
-        let imperfect = !cfg.perfect_detection();
-        let mut horizon = f64::INFINITY;
-        while pending.len() < max {
-            match queue.peek_time() {
-                Some(t) if t <= horizon => {
-                    let (at_h, ev) = queue.pop().expect("peeked event pops");
-                    if imperfect {
-                        if let CampaignEvent::Heartbeat(_) = ev {
-                            horizon = horizon.min(at_h + cfg.detection_grace_h);
-                        }
-                    }
-                    pending.push_back((at_h, ev));
-                }
-                _ => break,
-            }
-        }
-        if let Some(pl) = pipeline {
-            if !pending.is_empty() {
-                server.record_batch_size(pending.len());
-                spec.prime(core, pl, trace, pending.iter().map(|(_, e)| e));
-                *batch_wall = Instant::now();
-            }
-        }
-    }
-    let next = pending.pop_front();
-    if next.is_some() && pipeline.is_some() {
-        server.record_queue_wait_us(u64::try_from(batch_wall.elapsed().as_micros()).unwrap_or(0));
-    }
-    next
-}
-
 /// The serial and batched loop behind [`run_fault_campaign_with`]
 /// (`pipeline == None`: commit events straight off the DES queue) and
 /// [`crate::pipeline::run_fault_campaign_batched`] (`Some`: admit in
 /// batches, speculate arrival pipelines on the worker pool, commit in
-/// the identical deterministic order). It owns queue setup, batching,
-/// and speculation-table invalidation; every event is a call into one
-/// [`ShardCore`] spanning the whole space.
+/// the identical deterministic order). It owns queue setup and
+/// batching; every event is a call into one [`ShardCore`] spanning the
+/// whole space, which keeps its own speculation memo fresh.
 pub(crate) fn run_fault_campaign_impl(
     cfg: &FaultCampaignConfig,
     schedule: &[TimedFault],
@@ -1577,7 +1534,6 @@ pub(crate) fn run_fault_campaign_impl(
         }
     }
 
-    let mut spec = SpecTable::default();
     let mut pending: VecDeque<(f64, CampaignEvent)> = VecDeque::new();
     let mut batch_wall = Instant::now();
     // Reused across arrivals: the reachable-device scratch buffer.
@@ -1588,14 +1544,11 @@ pub(crate) fn run_fault_campaign_impl(
         &mut queue,
         pipeline,
         &trace,
-        &mut spec,
-        &core,
+        &mut core,
         &mut batch_wall,
     ) {
         core.advance(at_h);
-        // Whether the event mutated configuration inputs: speculations
-        // computed before it can no longer be adopted.
-        let mutated = match event {
+        match event {
             CampaignEvent::Arrival(i) => {
                 up.clear();
                 up.extend(core.up_devices());
@@ -1605,44 +1558,20 @@ pub(crate) fn run_fault_campaign_impl(
                     client_local: client_draw(cfg.seed, i, &up),
                     via: None,
                 };
-                let (_, graph) = app_template(a.graph_index);
-                // Batched mode adopts a speculated outcome in this
-                // event's deterministic commit slot; with the table
-                // invalidated on every mutation, that is exactly
-                // `start_session` decomposed.
-                let speculated = pipeline.map(|_| {
-                    let key = (a.graph_index, a.client_local);
-                    spec.take_or_speculate(&core.shard.server, key, &graph)
-                });
-                match core.arrival(a, graph, at_h, speculated) {
-                    Ok(charged) => charged,
-                    Err(e) => {
-                        core.deny_arrival(a, at_h, &e);
-                        false
-                    }
+                if let Err(e) = core.arrival(a, at_h) {
+                    core.deny_arrival(a, at_h, &e);
                 }
             }
             CampaignEvent::Departure(i) => core.depart(i, at_h),
-            CampaignEvent::Fault(j) => {
-                core.fault(&schedule[j], at_h);
-                // Conservatively a mutation, even when skipped.
-                true
-            }
+            CampaignEvent::Fault(j) => core.fault(&schedule[j], at_h),
             CampaignEvent::Heartbeat(d) => {
-                let beat = core.heartbeat(d, at_h);
-                if beat.is_some() {
+                if core.heartbeat(d, at_h) {
                     queue.schedule(at_h + cfg.detection_grace_h, CampaignEvent::LeaseCheck);
                 }
-                beat == Some(true)
             }
             CampaignEvent::LeaseCheck => core.lease_check(at_h),
-        };
-        if mutated {
-            spec.invalidate();
         }
-        if core.finish_event(at_h)? {
-            spec.invalidate();
-        }
+        core.finish_event(at_h)?;
         debug_assert!(
             core.custody.is_empty(),
             "only federated handoffs hold untracked sessions"
@@ -1658,7 +1587,7 @@ pub(crate) fn run_fault_campaign_impl(
         report,
         log: core.log,
         stages: core.shard.server.stage_times(),
-        pipeline: pipeline.map(|_| spec.stats),
+        pipeline: pipeline.map(|_| core.memo.stats),
     })
 }
 
@@ -2109,8 +2038,7 @@ mod tests {
                     client_local: 0,
                     via: None,
                 };
-                core.arrival(a, app_template(a.graph_index).1, at_h, None)
-                    .expect("a fresh space admits");
+                core.arrival(a, at_h).expect("a fresh space admits");
                 core.finish_event(at_h).expect("no corruption yet");
             }
             core.shard.server.corrupt_residual(1, 0, -1.0);

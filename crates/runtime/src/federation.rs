@@ -94,8 +94,8 @@
 use crate::domain_server::SessionId;
 use crate::durability::{assert_recovered_equal, DurabilityConfig};
 use crate::faults::{
-    app_template, build_space, campaign_schedule, client_draw, pick_live, template_name, Arrival,
-    Custody, EventLog, FaultCampaignConfig, InvariantViolation, Shard, ShardCore, TIME_EPS,
+    build_space, campaign_schedule, client_draw, pick_live, template_name, Arrival, Custody,
+    EventLog, FaultCampaignConfig, InvariantViolation, Shard, ShardCore, TIME_EPS,
 };
 use crate::profiler::StageTimes;
 use crate::retry_queue::RetryPolicy;
@@ -109,7 +109,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use ubiqos::fault_report::fnv1a;
 use ubiqos::{ConfigureError, FaultReport};
 use ubiqos_discovery::{DiscoveryQuery, DomainId, ServiceRegistry};
-use ubiqos_graph::AbstractServiceGraph;
+use ubiqos_graph::{AbstractServiceGraph, DeviceId};
 use ubiqos_model::QosVector;
 use ubiqos_sim::{
     merge_schedules, EventQueue, FaultKind, MobilityWaveConfig, Request, ShardCrashPlan,
@@ -1401,11 +1401,7 @@ impl<'a> Engine<'a> {
             client_local: client - self.offsets[a],
             via: None,
         };
-        let (_, graph) = app_template(arrival.graph_index);
-        let Err(e) = self
-            .touch(a, at_h, touched)
-            .arrival(arrival, graph, at_h, None)
-        else {
+        let Err(e) = self.touch(a, at_h, touched).arrival(arrival, at_h) else {
             return;
         };
         // Cross-domain resolution: only for composition failures on a
@@ -1524,8 +1520,7 @@ impl<'a> Engine<'a> {
             via: Some(a),
             ..origin
         };
-        let (_, graph) = app_template(arrival.graph_index);
-        if let Err(e) = core.admit_arrival(arrival, graph, at_h, None) {
+        if let Err(e) = core.admit_arrival(arrival, at_h) {
             core.deny_arrival(arrival, at_h, &e);
         }
         self.directory.insert(arrival.req, Loc::At(b));
@@ -1671,7 +1666,7 @@ impl<'a> Engine<'a> {
         let replayed = core.wal.tail.len() as u64;
         let rebuilt = core.wal.recover(core.grace_ms);
         assert_recovered_equal(&core.shard, &rebuilt, s);
-        core.shard = rebuilt;
+        core.restore(rebuilt);
         core.shard.report.wal_replayed += replayed as u32;
         core.shard.report.snapshot_restores += 1;
         // Fresh checkpoint: the post-recovery state (with the counter
@@ -1938,7 +1933,7 @@ impl<'a> Engine<'a> {
     fn on_heartbeat(&mut self, g: usize, at_h: f64, touched: &mut BTreeSet<usize>) {
         let s = self.owner(g);
         let d = g - self.offsets[s];
-        if self.touch(s, at_h, touched).heartbeat(d, at_h).is_some() {
+        if self.touch(s, at_h, touched).heartbeat(d, at_h) {
             self.retag(s);
             self.queue.schedule(
                 at_h + self.cfg.base.detection_grace_h,
@@ -2017,12 +2012,17 @@ impl<'a> Engine<'a> {
                     self.handoffs.get_mut(&hid).expect("tracked").reservation = Reservation::Done;
                     return;
                 }
+                let client = DeviceId::from_index(client_local);
+                let speculated = core
+                    .shard
+                    .server
+                    .speculate_configure(&graph, &qos, client, None);
                 let (reservation, reply) = match core.call_start(
                     || name.clone(),
                     graph,
                     qos,
                     client_local,
-                    None,
+                    speculated,
                 ) {
                     Ok(rid) => {
                         let expire_h = at_h + reserve_grace_h;
@@ -2174,12 +2174,15 @@ impl<'a> Engine<'a> {
                     format!("fedmsg  h{hid} commit -> {cause}, user departed (completed)")
                 } else {
                     // A late commit parks on any failure.
+                    let client = DeviceId::from_index(client_local);
+                    let server = &core.shard.server;
+                    let speculated = server.speculate_configure(&graph, &qos, client, None);
                     match core.call_start(
                         || name.clone(),
                         graph.clone(),
                         qos.clone(),
                         client_local,
-                        None,
+                        speculated,
                     ) {
                         Ok(id) => {
                             core.track(req, id);

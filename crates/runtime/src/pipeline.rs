@@ -5,7 +5,8 @@
 //! # The runtime
 //!
 //! The serial DES loop in [`crate::faults`] commits one event at a time:
-//! each arrival runs its whole configuration pipeline inline, so the
+//! each arrival speculates its configuration pipeline at its commit slot
+//! (or adopts the shard core's memoised outcome for its key), so the
 //! composition cache and the parallel solver sit behind a strictly
 //! sequential admission path. This module batches that loop. Events are
 //! *admitted* from the DES queue in batches (see the horizon rule
@@ -35,18 +36,24 @@
 //! commit order as the serial runtime, and admission decisions and
 //! resource accounting stay **byte-identical** to it.
 //!
+//! This module only adds a priming policy: `next_event`'s batch fill
+//! and the parallel speculation of a batch's arrivals. Every arrival,
+//! serial, batched or federated, admits through the shard core's memo.
+//!
 //! # Freshness (why adopted speculation is exact, not approximate)
 //!
-//! A speculated outcome is adopted only while it is *fresh*: no event
-//! that mutates configuration inputs (a capacity charge or refund, a
-//! fault, a detector suspicion or reinstatement, a retry-queue
-//! admission) has committed since it was computed. The `SpecTable`
-//! is invalidated wholesale on every such mutation, so at adoption
-//! time `speculate_configure` + `admit_speculated` is exactly
+//! A memoised outcome is adopted only while nothing configuration reads
+//! has changed since it was computed. The shard core owns that rule: its
+//! arms clear the memo wherever they change configuration inputs — a
+//! start that succeeds, every stop, device fault and relocation, a
+//! heartbeat that reinstates a device, a lease check that suspects one,
+//! a retry drain that moved sessions, and a shard restore. So at
+//! adoption time
+//! `speculate_configure` + `admit_speculated` is exactly
 //! [`DomainServer::start_session`] decomposed — same configuration,
 //! same overheads, same error, same `stale_views` accounting. A miss
-//! (first arrival after an invalidation) simply speculates inline at
-//! commit time, which *is* the serial path.
+//! (first arrival after a clear) simply speculates inline at commit
+//! time, which *is* the serial path.
 //!
 //! # The batch horizon rule
 //!
@@ -68,7 +75,7 @@
 //!
 //! Both runtimes drive the same shard core (see [`crate::faults`]):
 //! this loop runs one core over the whole space and only adds batching
-//! and speculation. [`crate::federation`] scales the *other* axis:
+//! and priming. [`crate::federation`] scales the *other* axis:
 //! instead of overlapping stages of one domain's admission loop, it
 //! runs one core per shard and serializes *cross-shard* effects
 //! through the same `(virtual time, sequence number)` total order this
@@ -83,16 +90,17 @@
 use crate::domain_server::DomainServer;
 use crate::faults::{
     app_template, campaign_schedule, client_draw, run_fault_campaign_impl, CampaignEvent,
-    CampaignOutcome, FaultCampaignConfig, InvariantViolation, ShardCore,
+    CampaignOutcome, FaultCampaignConfig, InvariantViolation, ShardCore, TEMPLATES,
 };
 use crate::overhead::ConfigOverhead;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
+use std::time::Instant;
 use ubiqos::{Configuration, ConfigureError};
 use ubiqos_graph::{AbstractServiceGraph, DeviceId};
 use ubiqos_model::QosVector;
 use ubiqos_parallel::par_map_threads;
-use ubiqos_sim::{Request, TimedFault};
+use ubiqos_sim::{EventQueue, Request, TimedFault};
 
 /// Knobs of the batched pipeline runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -125,12 +133,12 @@ pub struct PipelineStats {
     /// Speculative configurations computed at batch admission, on the
     /// worker pool, before their commit slot.
     pub primed: u64,
-    /// Speculations that had to run inline at commit time (table miss
+    /// Speculations that had to run inline at commit time (memo miss
     /// after a mid-batch mutation) — the serial path.
     pub inline_speculated: u64,
-    /// Arrivals that adopted a still-fresh table entry at commit.
+    /// Arrivals that adopted a still-fresh memo entry at commit.
     pub adopted: u64,
-    /// Wholesale table invalidations triggered by mutating events.
+    /// Wholesale memo clears of a non-empty memo.
     pub invalidations: u64,
 }
 
@@ -138,61 +146,93 @@ pub struct PipelineStats {
 /// overheads, or the exact error the serial admission path would raise.
 pub(crate) type Speculated = Result<(Configuration, ConfigOverhead), ConfigureError>;
 
-/// The batched runtime's speculation table: one entry per distinct
-/// `(application template, client device)` pair, each entry a session
-/// pipeline that has already run its speculative stages and is waiting
-/// for a commit slot (or holding the failure later same-key arrivals
-/// will reuse).
-#[derive(Default)]
-pub(crate) struct SpecTable {
-    entries: BTreeMap<(usize, usize), Speculated>,
+/// The shard core's speculation memo: at most one outcome per
+/// `(application template, client device)` key, in `TEMPLATES` ×
+/// devices flat slots. Only the shard core reads or clears it.
+pub(crate) struct SpecMemo {
+    slots: Vec<Option<Speculated>>,
     pub(crate) stats: PipelineStats,
 }
 
-impl SpecTable {
-    /// Drops every entry. Called after each committed event that
-    /// mutates configuration inputs; entries computed before the
-    /// mutation can no longer be adopted.
-    pub(crate) fn invalidate(&mut self) {
-        if !self.entries.is_empty() {
-            self.stats.invalidations += 1;
-            self.entries.clear();
+impl SpecMemo {
+    pub(crate) fn new(devices: usize) -> Self {
+        SpecMemo {
+            slots: vec![None; TEMPLATES * devices],
+            stats: PipelineStats::default(),
         }
     }
 
-    /// Runs the speculative stages for every distinct arrival key in
-    /// the freshly admitted batch (skipping keys still cached from
-    /// earlier batches), fanned out on `pl.threads` workers. Client
-    /// devices are derived from the batch-start `down` set — exactly
-    /// the state every key's first commit will observe unless a
-    /// mutation invalidates the table first, in which case the stale
-    /// entry is dropped before it could be adopted.
-    pub(crate) fn prime<'e>(
+    /// The slot of template `graph_index` at `client` (`slot % TEMPLATES`
+    /// is the template again).
+    fn slot(graph_index: usize, client: usize) -> usize {
+        client * TEMPLATES + graph_index % TEMPLATES
+    }
+
+    /// Drops every entry: inputs changed, nothing computed before holds.
+    pub(crate) fn clear(&mut self) {
+        if self.slots.iter().any(Option::is_some) {
+            self.stats.invalidations += 1;
+            self.slots.fill(None);
+        }
+    }
+
+    /// The outcome of an arrival of `graph` (template `graph_index`) at
+    /// `client`: the memoised one, else a fresh (serial-path) speculation.
+    /// Failures stay until the next clear, so a denial run costs one
+    /// configuration; a success is consumed (its start clears anyway).
+    pub(crate) fn take_or_speculate(
         &mut self,
-        core: &ShardCore,
+        server: &DomainServer,
+        graph_index: usize,
+        client: usize,
+        graph: &AbstractServiceGraph,
+    ) -> Speculated {
+        let slot = SpecMemo::slot(graph_index, client);
+        let speculated = match self.slots[slot].take() {
+            Some(hit) => {
+                self.stats.adopted += 1;
+                hit
+            }
+            None => {
+                self.stats.inline_speculated += 1;
+                let client = DeviceId::from_index(client);
+                server.speculate_configure(graph, &QosVector::new(), client, None)
+            }
+        };
+        if let Err(e) = &speculated {
+            self.slots[slot] = Some(Err(e.clone()));
+        }
+        speculated
+    }
+}
+
+impl ShardCore {
+    /// Speculates every distinct arrival key of a freshly admitted batch
+    /// that the memo lacks, on `pl.threads` workers. Client devices come
+    /// from the batch-start `down` set — the state each key's first
+    /// commit observes unless the core clears the memo first.
+    fn prime<'e>(
+        &mut self,
         pl: &PipelineConfig,
         trace: &[Request],
         events: impl Iterator<Item = &'e CampaignEvent>,
     ) {
-        self.stats.batches += 1;
-        let up: Vec<usize> = core.up_devices().collect();
-        let mut missing: Vec<(usize, usize)> = Vec::new();
+        self.memo.stats.batches += 1;
+        let up: Vec<usize> = self.up_devices().collect();
+        let mut missing: Vec<usize> = Vec::new();
         for ev in events {
-            let CampaignEvent::Arrival(i) = *ev else {
-                continue;
-            };
-            let key = (
-                trace[i].graph_index,
-                client_draw(core.shard.cfg.seed, i, &up),
-            );
-            if !self.entries.contains_key(&key) && !missing.contains(&key) {
-                missing.push(key);
+            if let CampaignEvent::Arrival(i) = *ev {
+                let client = client_draw(self.shard.cfg.seed, i, &up);
+                let slot = SpecMemo::slot(trace[i].graph_index, client);
+                if self.memo.slots[slot].is_none() && !missing.contains(&slot) {
+                    missing.push(slot);
+                }
             }
         }
         if missing.is_empty() {
             return;
         }
-        self.stats.primed += missing.len() as u64;
+        self.memo.stats.primed += missing.len() as u64;
         // Configured threads are capped at the machine's parallelism:
         // spawning eight workers on one core is pure overhead, and the
         // worker count is wall-clock-only — commit order (and therefore
@@ -200,50 +240,65 @@ impl SpecTable {
         let workers = pl
             .threads
             .min(std::thread::available_parallelism().map_or(1, |n| n.get()));
-        let server = &core.shard.server;
-        let results = par_map_threads(workers, &missing, |_, &(graph_index, client)| {
-            let (_, graph) = app_template(graph_index);
-            server.speculate_configure(
-                &graph,
-                &QosVector::new(),
-                DeviceId::from_index(client),
-                None,
-            )
+        let server = &self.shard.server;
+        let results = par_map_threads(workers, &missing, |_, &slot| {
+            let (_, graph) = app_template(slot % TEMPLATES);
+            let client = DeviceId::from_index(slot / TEMPLATES);
+            server.speculate_configure(&graph, &QosVector::new(), client, None)
         });
-        for (key, result) in missing.into_iter().zip(results) {
-            self.entries.insert(key, result);
+        for (slot, result) in missing.into_iter().zip(results) {
+            self.memo.slots[slot] = Some(result);
         }
     }
+}
 
-    /// Hands the commit stage its speculated outcome: a fresh table
-    /// entry when one survives, otherwise an inline (serial-path)
-    /// speculation. Failure outcomes are retained — they stay exact
-    /// until the next mutation, so a long denial run costs one
-    /// configuration instead of one per arrival.
-    pub(crate) fn take_or_speculate(
-        &mut self,
-        server: &DomainServer,
-        key: (usize, usize),
-        graph: &AbstractServiceGraph,
-    ) -> Speculated {
-        if let Some(hit) = self.entries.get(&key) {
-            self.stats.adopted += 1;
-            if hit.is_err() {
-                // Failure entries stay put for the next same-key arrival
-                // (a long denial run costs one configuration, not one
-                // per arrival); success entries are consumed below.
-                return hit.clone();
+/// Pulls the next event to commit, refilling the admission batch from
+/// the DES queue when it runs dry: one event in serial mode (`pipeline
+/// == None`), else up to `batch_size` events bounded by the lease-check
+/// horizon (module docs), whose arrivals are primed before the first
+/// commit.
+pub(crate) fn next_event(
+    pending: &mut VecDeque<(f64, CampaignEvent)>,
+    queue: &mut EventQueue<CampaignEvent>,
+    pipeline: Option<&PipelineConfig>,
+    trace: &[Request],
+    core: &mut ShardCore,
+    batch_wall: &mut Instant,
+) -> Option<(f64, CampaignEvent)> {
+    if pending.is_empty() {
+        let cfg = &core.shard.cfg;
+        let max = pipeline.map_or(1, |pl| pl.batch_size.max(1));
+        let imperfect = !cfg.perfect_detection();
+        let mut horizon = f64::INFINITY;
+        while pending.len() < max {
+            match queue.peek_time() {
+                Some(t) if t <= horizon => {
+                    let (at_h, ev) = queue.pop().expect("peeked event pops");
+                    if imperfect {
+                        if let CampaignEvent::Heartbeat(_) = ev {
+                            horizon = horizon.min(at_h + cfg.detection_grace_h);
+                        }
+                    }
+                    pending.push_back((at_h, ev));
+                }
+                _ => break,
             }
-            return self.entries.remove(&key).expect("entry just found");
         }
-        self.stats.inline_speculated += 1;
-        let speculated =
-            server.speculate_configure(graph, &QosVector::new(), DeviceId::from_index(key.1), None);
-        if speculated.is_err() {
-            self.entries.insert(key, speculated.clone());
+        if let Some(pl) = pipeline {
+            if !pending.is_empty() {
+                core.shard.server.record_batch_size(pending.len());
+                core.prime(pl, trace, pending.iter().map(|(_, e)| e));
+                *batch_wall = Instant::now();
+            }
         }
-        speculated
     }
+    let next = pending.pop_front();
+    if next.is_some() && pipeline.is_some() {
+        core.shard
+            .server
+            .record_queue_wait_us(u64::try_from(batch_wall.elapsed().as_micros()).unwrap_or(0));
+    }
+    next
 }
 
 /// Runs one fault-injection campaign on the batched pipeline runtime.
@@ -292,7 +347,30 @@ pub fn run_fault_campaign_batched_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::run_fault_campaign;
+    use crate::durability::DurabilityConfig;
+    use crate::faults::{build_space, run_fault_campaign, Arrival, Shard};
+
+    #[test]
+    fn a_shard_restore_drops_the_memo() {
+        let cfg = FaultCampaignConfig::default();
+        let durable = DurabilityConfig::default();
+        let mut core = ShardCore::new(Shard::new(build_space(cfg.devices), cfg), 0, &durable);
+        // Plant an outcome the fresh space would not produce: only the
+        // restore's clear keeps the next same-key arrival from adopting
+        // it.
+        core.memo.slots[SpecMemo::slot(0, 1)] = Some(Err(ConfigureError::StaleView { device: 1 }));
+        let rebuilt = core.wal.recover(core.grace_ms);
+        core.restore(rebuilt);
+        let a = Arrival {
+            req: 0,
+            graph_index: 0,
+            client_local: 1,
+            via: None,
+        };
+        core.arrival(a, 0.5).expect("a fresh space admits");
+        assert_eq!(core.shard.report.parked, 0, "the planted view was adopted");
+        assert_eq!(core.shard.server.stage_times().configures, 1);
+    }
 
     #[test]
     fn batched_default_campaign_matches_pinned_serial_digest() {

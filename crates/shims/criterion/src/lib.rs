@@ -8,7 +8,10 @@
 //!
 //! When the executable receives a `--test` argument (as `cargo test`
 //! passes to `harness = false` bench targets), every benchmark body
-//! runs exactly once so the test suite stays fast.
+//! runs exactly once so the test suite stays fast. The first argument
+//! that is not a flag filters benchmarks by substring of their full
+//! `group/id` name, as upstream criterion does: `cargo bench --bench
+//! osd_solver -- osd/hierarchical` runs only that group.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -21,23 +24,44 @@ pub use std::hint::black_box;
 /// Top-level benchmark driver, one per bench executable.
 pub struct Criterion {
     test_mode: bool,
+    /// Runs only the benchmarks whose full name contains this.
+    filter: Option<String>,
 }
 
 impl Criterion {
     /// Builds a driver from the process arguments (`--test` → run each
-    /// benchmark once, without timing loops).
+    /// benchmark once, without timing loops; the first non-flag
+    /// argument → name filter).
     pub fn from_args() -> Self {
-        let test_mode = std::env::args().any(|a| a == "--test");
-        Criterion { test_mode }
+        Criterion::parse(std::env::args().skip(1))
+    }
+
+    fn parse(args: impl IntoIterator<Item = String>) -> Self {
+        let mut criterion = Criterion {
+            test_mode: false,
+            filter: None,
+        };
+        for arg in args {
+            if arg == "--test" {
+                criterion.test_mode = true;
+            } else if !arg.starts_with('-') && criterion.filter.is_none() {
+                criterion.filter = Some(arg);
+            }
+        }
+        criterion
+    }
+
+    /// Whether the benchmark named `name` passes the filter.
+    fn selects(&self, name: &str) -> bool {
+        self.filter.as_deref().is_none_or(|f| name.contains(f))
     }
 
     /// Starts a named group of related benchmarks.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
         BenchmarkGroup {
             name: name.into(),
-            test_mode: self.test_mode,
             sample_size: 10,
-            _criterion: self,
+            criterion: self,
         }
     }
 
@@ -46,8 +70,17 @@ impl Criterion {
     where
         F: FnMut(&mut Bencher),
     {
-        let test_mode = self.test_mode;
-        run_benchmark(&id.to_string(), test_mode, 10, f);
+        self.run(&id.to_string(), 10, f);
+    }
+
+    /// Runs benchmark `name` unless the filter excludes it.
+    fn run<F>(&self, name: &str, sample_size: usize, f: F)
+    where
+        F: FnMut(&mut Bencher),
+    {
+        if self.selects(name) {
+            run_benchmark(name, self.test_mode, sample_size, f);
+        }
     }
 }
 
@@ -60,9 +93,8 @@ impl Default for Criterion {
 /// A named set of benchmarks sharing settings.
 pub struct BenchmarkGroup<'a> {
     name: String,
-    test_mode: bool,
     sample_size: usize,
-    _criterion: &'a mut Criterion,
+    criterion: &'a mut Criterion,
 }
 
 impl BenchmarkGroup<'_> {
@@ -79,7 +111,7 @@ impl BenchmarkGroup<'_> {
         F: FnMut(&mut Bencher),
     {
         let full = format!("{}/{}", self.name, id);
-        run_benchmark(&full, self.test_mode, self.sample_size, f);
+        self.criterion.run(&full, self.sample_size, f);
         self
     }
 
@@ -94,7 +126,7 @@ impl BenchmarkGroup<'_> {
         F: FnMut(&mut Bencher, &I),
     {
         let full = format!("{}/{}", self.name, id.0);
-        run_benchmark(&full, self.test_mode, self.sample_size, |b| f(b, input));
+        self.criterion.run(&full, self.sample_size, |b| f(b, input));
         self
     }
 
@@ -250,9 +282,13 @@ macro_rules! criterion_main {
 mod tests {
     use super::*;
 
+    fn args(list: &[&str]) -> Criterion {
+        Criterion::parse(list.iter().map(|a| a.to_string()))
+    }
+
     #[test]
     fn groups_run_bodies_and_count_samples() {
-        let mut c = Criterion { test_mode: true };
+        let mut c = args(&["--test"]);
         let mut runs = 0;
         {
             let mut group = c.benchmark_group("g");
@@ -264,6 +300,38 @@ mod tests {
             group.finish();
         }
         assert_eq!(runs, 1, "--test mode runs each body once");
+    }
+
+    #[test]
+    fn the_first_non_flag_argument_filters_by_substring() {
+        let c = args(&["--bench", "osd/hierarchical", "other"]);
+        assert!(!c.test_mode);
+        assert!(c.selects("osd/hierarchical/48"));
+        assert!(!c.selects("osd/bound-ablation/12"));
+        assert!(
+            !c.selects("other"),
+            "only the first non-flag argument filters"
+        );
+        let all = args(&["--test"]);
+        assert!(all.test_mode);
+        assert!(
+            all.selects("osd/bound-ablation/12"),
+            "no filter selects all"
+        );
+    }
+
+    #[test]
+    fn a_filtered_out_benchmark_never_runs() {
+        let mut c = args(&["--test", "g/kept"]);
+        let (mut kept, mut skipped) = (0, 0);
+        {
+            let mut group = c.benchmark_group("g");
+            group.bench_function("kept", |b| b.iter(|| kept += 1));
+            group.bench_function("skipped", |b| b.iter(|| skipped += 1));
+            group.finish();
+        }
+        c.bench_function("loose", |b| b.iter(|| skipped += 1));
+        assert_eq!((kept, skipped), (1, 0));
     }
 
     #[test]

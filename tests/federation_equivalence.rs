@@ -145,6 +145,10 @@ fn assert_three_runtimes_agree(cfg: &FederationConfig, what: &str) -> CampaignOu
         "{what}: 1-shard report"
     );
     assert_eq!(
+        fed.shards[0].stages.configures, serial.stages.configures,
+        "{what}: the 1-shard core memoises exactly as the serial loop's"
+    );
+    assert_eq!(
         fed.stats.messages, 0,
         "{what}: one shard never talks to itself"
     );

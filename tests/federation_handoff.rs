@@ -375,3 +375,83 @@ fn shard_crash_after_the_device_crash_replays_the_same_custody_decision() {
         assert_exactly_one_session(&crashed);
     }
 }
+
+/// An overloaded 4-shard space under heavy mobility and 24 alternating
+/// shard partitions: denials fill every shard's speculation memo while
+/// handoffs reserve, commit, abort, expire and park around them.
+fn churning_handoffs_cfg(seed: u64) -> FederationConfig {
+    FederationConfig {
+        base: FaultCampaignConfig {
+            seed,
+            devices: 8,
+            requests: 600,
+            horizon_h: 3.0,
+            faults: 10,
+            ..FaultCampaignConfig::default()
+        },
+        shards: 4,
+        mobility: MobilityWaveConfig {
+            moves: 120,
+            waves: 6,
+            horizon_h: 3.0,
+            devices: 8,
+            ..MobilityWaveConfig::default()
+        },
+        commit_lag_h: 0.08,
+        reserve_grace_h: 0.1,
+        shard_partitions: (0..24)
+            .map(|k| ShardPartition {
+                shard: k % 2,
+                from_h: 0.1 + k as f64 * 0.12,
+                to_h: 0.1 + k as f64 * 0.12 + 0.05,
+            })
+            .collect(),
+        shard_grace_h: 0.01,
+        specialize_registry: false,
+        ..FederationConfig::default()
+    }
+}
+
+#[test]
+fn every_handoff_step_that_moves_capacity_refreshes_the_memo() {
+    // Per-shard digests captured before arrivals were memoised, when
+    // every arrival configured from scratch. A reserve, a released
+    // source, an aborted or expired reservation, or a stop on a
+    // suspected destination that left a memoised outcome in place
+    // would replay a stale admission decision and move these.
+    let pinned: [(u64, [u64; 4]); 3] = [
+        (
+            2,
+            [
+                0x5db1_20dc_85f2_2c57,
+                0xdd09_d7a7_edae_5663,
+                0x8cc1_6797_cd89_2bdd,
+                0x5e0a_171d_a97f_e0e9,
+            ],
+        ),
+        (
+            3,
+            [
+                0xdb46_7e33_656f_3411,
+                0x8e23_74d3_d65a_c438,
+                0xabbe_b084_7a0c_1890,
+                0x3e44_5a09_3df1_a4e1,
+            ],
+        ),
+        (
+            5,
+            [
+                0x91ac_5272_424f_2015,
+                0x138f_406e_3adc_d01e,
+                0xa481_2e1d_7ed2_4587,
+                0xdcfc_303e_07b8_9e4a,
+            ],
+        ),
+    ];
+    for (seed, digests) in pinned {
+        let cfg = churning_handoffs_cfg(seed);
+        let out = run_federation_campaign_with(&cfg, &cfg.schedule()).expect("run");
+        assert_eq!(out.shard_digests(), digests, "seed {seed}");
+        assert!(out.stats.handoffs_aborted > 0 && out.stats.reservation_expiries > 0);
+    }
+}

@@ -87,19 +87,29 @@ fn baseline_digests_are_pinned_serial_and_batched() {
             serial.report.log_digest, pinned,
             "{label}: serial baseline digest drifted"
         );
-        for batch_size in BATCH_SIZES {
+        let cells = BATCH_SIZES.map(|batch_size| (batch_size, 8));
+        for (batch_size, threads) in [(1, 1)].into_iter().chain(cells) {
             let batched = run_fault_campaign_batched(
                 cfg,
                 &PipelineConfig {
                     batch_size,
-                    threads: 8,
+                    threads,
                 },
             )
             .expect("batched holds");
             assert_eq!(
                 batched.report.log_digest, pinned,
-                "{label} b{batch_size}: batched digest drifted from the pinned baseline"
+                "{label} b{batch_size} t{threads}: batched digest drifted from the pinned baseline"
             );
+            if batch_size == 1 {
+                // Both loops admit through the shard core's memo, so a
+                // one-event batch primes exactly what the serial loop
+                // speculates inline: the same configuration count.
+                assert_eq!(
+                    batched.stages.configures, serial.stages.configures,
+                    "{label} b1 t{threads}: the memo configures differently per loop"
+                );
+            }
         }
     }
 }
@@ -132,7 +142,7 @@ proptest! {
     /// reinstatement, and stale views landing mid-batch must all commit
     /// in the serial order. Lease checks land between arrivals, so
     /// batches are clipped at suspicion horizons (the batch horizon
-    /// rule) and the speculation table is invalidated mid-run.
+    /// rule) and the shard core clears its speculation memo mid-run.
     #[test]
     fn batched_matches_serial_under_detector_suspicion(
         seed in 0u64..u64::MAX,
