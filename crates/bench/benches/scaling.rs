@@ -7,7 +7,10 @@
 //!   growing graphs over the Figure 5 environment;
 //! * ablations: how much the heuristic's device re-sorting and cluster
 //!   adjacency contribute to placement *quality* (printed as a cost /
-//!   success comparison) and what they cost in time.
+//!   success comparison) and what they cost in time;
+//! * the DES queue alone: filling and draining a campaign-sized
+//!   arrival/departure schedule, the fixed cost every campaign event
+//!   pays before any configuration work.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -16,7 +19,7 @@ use ubiqos_composition::{oc, CorrectionPolicy, TranscoderCatalog};
 use ubiqos_distribution::{GreedyHeuristic, OsdProblem, ServiceDistributor};
 use ubiqos_graph::{ComponentRole, ServiceComponent, ServiceGraph};
 use ubiqos_model::{QosDimension as D, QosValue, QosVector, Weights};
-use ubiqos_sim::GraphGenConfig;
+use ubiqos_sim::{EventQueue, GraphGenConfig, WorkloadConfig};
 
 /// Builds a consistent-but-adjustable chain-of-width-2 graph of `n`
 /// components for OC scaling runs: every node forwards WAV at a tunable
@@ -246,11 +249,47 @@ fn bench_order_ablation(c: &mut Criterion) {
     group.finish();
 }
 
+/// A campaign event as the DES queue carries it (same size as the
+/// runtime's: a tag and a request index).
+#[derive(Debug, Clone, Copy)]
+enum DesEvent {
+    Arrival(usize),
+    Departure(usize),
+}
+
+/// The DES layer on its own: 100 000 arrival/departure pairs shaped
+/// like the overload campaign's (arrivals packed into two hours, each
+/// with its departure), all scheduled before the first pop and then
+/// drained in time order.
+fn bench_des(c: &mut Criterion) {
+    let trace = WorkloadConfig::overload(100_000, 2.0).generate(&mut StdRng::seed_from_u64(1));
+    let mut group = c.benchmark_group("des");
+    group.sample_size(20);
+    group.bench_function("fill_drain", |b| {
+        b.iter(|| {
+            let mut q = EventQueue::new();
+            for (i, r) in trace.iter().enumerate() {
+                q.schedule(r.arrival_h, DesEvent::Arrival(i));
+                q.schedule(r.departure_h(), DesEvent::Departure(i));
+            }
+            let mut drained = 0usize;
+            while let Some((_, e)) = q.pop() {
+                drained += match e {
+                    DesEvent::Arrival(i) | DesEvent::Departure(i) => i & 1,
+                };
+            }
+            drained
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_oc_scaling,
     bench_heuristic_scaling,
     bench_ablations,
-    bench_order_ablation
+    bench_order_ablation,
+    bench_des
 );
 criterion_main!(benches);

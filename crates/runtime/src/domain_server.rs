@@ -738,7 +738,7 @@ impl DomainServer {
             self.speculate_configure(&abstract_graph, &user_qos, client_device, domain);
         self.open_session(
             move || name.into(),
-            abstract_graph,
+            || abstract_graph,
             user_qos,
             client_device,
             domain,
@@ -1412,14 +1412,14 @@ impl DomainServer {
     /// Re-raises the speculated [`ConfigureError`]; the session is not
     /// created on failure.
     ///
-    /// The name is taken as a thunk: adoption knows the admission
-    /// outcome before a session record exists, so denied arrivals —
-    /// the bulk of an overload campaign — never pay for building the
-    /// name string.
+    /// The name and the abstract graph are taken as thunks: adoption
+    /// knows the admission outcome before a session record exists, so
+    /// denied arrivals — the bulk of an overload campaign — never pay
+    /// for building either.
     pub fn admit_speculated(
         &mut self,
         name: impl FnOnce() -> String,
-        abstract_graph: AbstractServiceGraph,
+        abstract_graph: impl FnOnce() -> AbstractServiceGraph,
         user_qos: QosVector,
         client_device: DeviceId,
         speculated: Result<(Configuration, ConfigOverhead), ConfigureError>,
@@ -1441,7 +1441,7 @@ impl DomainServer {
     fn open_session(
         &mut self,
         name: impl FnOnce() -> String,
-        abstract_graph: AbstractServiceGraph,
+        abstract_graph: impl FnOnce() -> AbstractServiceGraph,
         user_qos: QosVector,
         client_device: DeviceId,
         domain: Option<DomainId>,
@@ -1454,7 +1454,7 @@ impl DomainServer {
         })?;
         let id = SessionId(self.next_session);
         self.next_session += 1;
-        let session = Session::unplaced(name(), abstract_graph, user_qos, client_device, domain);
+        let session = Session::unplaced(name(), abstract_graph(), user_qos, client_device, domain);
         self.install(
             id.0,
             session,
@@ -2227,7 +2227,7 @@ mod tests {
             let (graph, qos, client) = (audio_app(), QosVector::new(), DeviceId::from_index(1));
             if decomposed {
                 let speculated = server.speculate_configure(&graph, &qos, client, None);
-                server.admit_speculated(|| "audio".to_owned(), graph, qos, client, speculated)
+                server.admit_speculated(|| "audio".to_owned(), || graph, qos, client, speculated)
             } else {
                 server.start_session("audio", graph, qos, client)
             }

@@ -711,6 +711,39 @@ pub(crate) struct Arrival {
     pub(crate) via: Option<usize>,
 }
 
+/// A value built on first read, at most once. (`std::cell::LazyCell`
+/// cannot hand its value out by move on stable Rust, and a started
+/// session takes the graph by move.)
+struct Lazy<T, F> {
+    /// Set once built; until then `init` holds the builder.
+    value: Option<T>,
+    init: Option<F>,
+}
+
+impl<T, F: FnOnce() -> T> Lazy<T, F> {
+    fn new(init: F) -> Self {
+        Lazy {
+            value: None,
+            init: Some(init),
+        }
+    }
+
+    /// The value, built now if this is the first read.
+    fn get(&mut self) -> &T {
+        let init = &mut self.init;
+        self.value
+            .get_or_insert_with(|| init.take().expect("a lazy value builds once")())
+    }
+
+    /// The value by move, built now if nothing read it before.
+    fn into_inner(self) -> T {
+        match self.value {
+            Some(value) => value,
+            None => self.init.expect("a lazy value builds once")(),
+        }
+    }
+}
+
 /// Renders an [`Arrival::via`] transcript tag (empty when the arrival
 /// was not forwarded).
 struct Via(Option<usize>);
@@ -807,25 +840,30 @@ impl ShardCore {
     /// session plainly. The `call_*` methods are the only way an arm or
     /// a handler mutates the server: each journals its [`ServerCall`];
     /// all but this one call through the `exec_*` code replay uses.
+    ///
+    /// The graph is built at most once, and only if something reads
+    /// it: the journaled record (a denial is journaled with its graph
+    /// too, since replay re-runs the start) or a started session.
     pub(crate) fn call_start(
         &mut self,
         name: impl Fn() -> String,
-        graph: AbstractServiceGraph,
+        graph: impl FnOnce() -> AbstractServiceGraph,
         qos: QosVector,
         client_local: usize,
         speculated: Speculated,
     ) -> Result<SessionId, ConfigureError> {
+        let mut graph = Lazy::new(graph);
         self.wal.push(|| {
             WalRecord::Call(ServerCall::Start {
                 name: name(),
-                graph: graph.clone(),
+                graph: graph.get().clone(),
                 qos: qos.clone(),
                 client_local,
             })
         });
         let client = DeviceId::from_index(client_local);
         let server = &mut self.shard.server;
-        let started = server.admit_speculated(name, graph, qos, client, speculated);
+        let started = server.admit_speculated(name, || graph.into_inner(), qos, client, speculated);
         if started.is_ok() {
             self.memo.clear();
         }
@@ -876,14 +914,20 @@ impl ShardCore {
     /// charged, and the session's fate resolves later (counted as
     /// admitted). Any other refusal is returned untouched, for the
     /// caller to forward or deny.
+    ///
+    /// The template graph is built only when something reads it — a
+    /// memo miss, a start, a stale-view park or a journaled record —
+    /// so a memoised refusal, the bulk of an overloaded campaign,
+    /// builds none.
     pub(crate) fn admit_arrival(&mut self, a: Arrival, at_h: f64) -> Result<(), ConfigureError> {
-        let (i, (name, graph)) = (a.req, app_template(a.graph_index));
+        let (i, gi, name) = (a.req, a.graph_index, template_name(a.graph_index));
+        let mut graph = Lazy::new(|| app_template(gi).1);
         let speculated =
             self.memo
-                .take_or_speculate(&self.shard.server, a.graph_index, a.client_local, &graph);
+                .take_or_speculate(&self.shard.server, gi, a.client_local, || graph.get());
         let started = self.call_start(
             || format!("{name}-{i}"),
-            graph,
+            || graph.into_inner(),
             QosVector::new(),
             a.client_local,
             speculated,
@@ -891,7 +935,7 @@ impl ShardCore {
         let (id, charged) = match started {
             Ok(id) => (id, true),
             Err(e) if matches!(e, ConfigureError::StaleView { .. }) => {
-                let (_, graph) = app_template(a.graph_index);
+                let (_, graph) = app_template(gi);
                 let name = format!("{name}-{i}");
                 (
                     self.call_park(name, graph, QosVector::new(), a.client_local, e),
@@ -2056,6 +2100,64 @@ mod tests {
             streamed.violation.contains("negative residual"),
             "{streamed}"
         );
+    }
+
+    /// A repeated refusal of one `(template, client)` key adopts the
+    /// memoised denial: it renders the same `denied (…)` text as the
+    /// refusal that speculated inline, and counts as adopted.
+    #[test]
+    fn a_repeated_refusal_adopts_the_memoised_denial() {
+        let cfg = FaultCampaignConfig {
+            retain_transcript: true,
+            ..FaultCampaignConfig::default()
+        };
+        let inert = DurabilityConfig {
+            enabled: false,
+            ..DurabilityConfig::default()
+        };
+        let mut core = ShardCore::new(Shard::new(build_space(cfg.devices), cfg), 0, &inert);
+        // Admits or denies request `req` (template 0 at client 0), as
+        // the serial loop's arrival arm does.
+        let arrive = |core: &mut ShardCore, req: usize| {
+            let at_h = req as f64 * 0.001;
+            core.advance(at_h);
+            let a = Arrival {
+                req,
+                graph_index: 0,
+                client_local: 0,
+                via: None,
+            };
+            match core.arrival(a, at_h) {
+                Ok(()) => true,
+                Err(e) => {
+                    core.deny_arrival(a, at_h, &e);
+                    false
+                }
+            }
+        };
+        let verdict = |core: &ShardCore| {
+            let line = core.log.lines().last().expect("retained").clone();
+            let (_, verdict) = line.split_once(" -> ").expect("an arrival line");
+            verdict.to_owned()
+        };
+        let mut req = 0;
+        while arrive(&mut core, req) {
+            req += 1;
+            assert!(req < 1_000, "the space never filled");
+        }
+        // The first refusal followed a start, which cleared the memo.
+        let first = verdict(&core);
+        assert!(first.starts_with("denied ("), "{first}");
+        let before = core.memo.stats.clone();
+        assert!(before.inline_speculated > 0);
+        for repeat in 1..=3 {
+            assert!(!arrive(&mut core, req + repeat), "still refused");
+            assert_eq!(verdict(&core), first, "repeat {repeat}");
+        }
+        let after = &core.memo.stats;
+        assert_eq!(after.adopted, before.adopted + 3);
+        assert_eq!(after.inline_speculated, before.inline_speculated);
+        assert_eq!(core.shard.report.denied, 4);
     }
 
     #[test]

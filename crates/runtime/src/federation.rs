@@ -2019,7 +2019,7 @@ impl<'a> Engine<'a> {
                     .speculate_configure(&graph, &qos, client, None);
                 let (reservation, reply) = match core.call_start(
                     || name.clone(),
-                    graph,
+                    || graph,
                     qos,
                     client_local,
                     speculated,
@@ -2179,7 +2179,7 @@ impl<'a> Engine<'a> {
                     let speculated = server.speculate_configure(&graph, &qos, client, None);
                     match core.call_start(
                         || name.clone(),
-                        graph.clone(),
+                        || graph.clone(),
                         qos.clone(),
                         client_local,
                         speculated,

@@ -176,16 +176,17 @@ impl SpecMemo {
         }
     }
 
-    /// The outcome of an arrival of `graph` (template `graph_index`) at
-    /// `client`: the memoised one, else a fresh (serial-path) speculation.
+    /// The outcome of an arrival of template `graph_index` at `client`:
+    /// the memoised one, else a fresh (serial-path) speculation of the
+    /// template graph, which `graph` builds only on that miss.
     /// Failures stay until the next clear, so a denial run costs one
     /// configuration; a success is consumed (its start clears anyway).
-    pub(crate) fn take_or_speculate(
+    pub(crate) fn take_or_speculate<'g>(
         &mut self,
         server: &DomainServer,
         graph_index: usize,
         client: usize,
-        graph: &AbstractServiceGraph,
+        graph: impl FnOnce() -> &'g AbstractServiceGraph,
     ) -> Speculated {
         let slot = SpecMemo::slot(graph_index, client);
         let speculated = match self.slots[slot].take() {
@@ -196,7 +197,7 @@ impl SpecMemo {
             None => {
                 self.stats.inline_speculated += 1;
                 let client = DeviceId::from_index(client);
-                server.speculate_configure(graph, &QosVector::new(), client, None)
+                server.speculate_configure(graph(), &QosVector::new(), client, None)
             }
         };
         if let Err(e) = &speculated {

@@ -59,6 +59,30 @@ fn crash_plan(crashes: usize, shards: usize) -> ShardCrashPlan {
     }
 }
 
+/// An overloaded federation that refuses nearly every arrival, most of
+/// them from the shard core's speculation memo. Each refusal is
+/// journaled with its graph, because replay re-runs the start.
+fn overloaded(shards: usize) -> FederationConfig {
+    FederationConfig {
+        base: FaultCampaignConfig {
+            devices: 8,
+            requests: 1_500,
+            horizon_h: 1.0,
+            faults: 4,
+            ..FaultCampaignConfig::default()
+        },
+        shards,
+        mobility: MobilityWaveConfig {
+            moves: 4,
+            waves: 2,
+            horizon_h: 1.0,
+            devices: 8,
+            ..MobilityWaveConfig::default()
+        },
+        ..FederationConfig::default()
+    }
+}
+
 /// Acceptance gate: durability-on, crash-free runs are byte-identical
 /// to the durability-off engine at 1/2/4/8 shards.
 #[test]
@@ -118,6 +142,46 @@ fn seeded_crashes_converge_at_every_shard_count() {
             crashed.shard_digests(),
             baseline.shard_digests(),
             "{shards} shards: crashed run diverged from the crash-free digests"
+        );
+        assert!(crashed.fates_balance());
+    }
+}
+
+/// The same convergence on the overloaded campaign: every crash
+/// replays a tail of mostly journaled refusals, which must re-run to
+/// the same outcomes (and the same denial lines) as the live run.
+#[test]
+fn an_overloaded_mostly_refused_federation_converges_through_crashes() {
+    for shards in [1usize, 2] {
+        let baseline = run_federation_campaign(&overloaded(shards)).expect("crash-free run");
+        let (denied, arrivals) = baseline.shards.iter().fold((0, 0), |(d, n), s| {
+            (d + s.report.denied, n + s.report.arrivals)
+        });
+        assert!(
+            denied * 10 >= arrivals * 9,
+            "{shards} shards: only {denied} of {arrivals} arrivals refused"
+        );
+        let mut crashed_cfg = overloaded(shards);
+        crashed_cfg.crashes = ShardCrashPlan {
+            crashes: 3,
+            shards,
+            horizon_h: 1.0,
+            outage_h: 0.05,
+            ..ShardCrashPlan::default()
+        };
+        let crashed = run_federation_campaign(&crashed_cfg).expect("crashed run");
+        assert!(
+            crashed.stats.shard_crashes >= 1,
+            "{shards} shards: the plan scheduled no crash"
+        );
+        assert!(
+            crashed.stats.wal_replayed > 0,
+            "{shards} shards: nothing replayed"
+        );
+        assert_eq!(
+            crashed.shard_digests(),
+            baseline.shard_digests(),
+            "{shards} shards: crashed overloaded run diverged from the crash-free digests"
         );
         assert!(crashed.fates_balance());
     }

@@ -1,6 +1,6 @@
 //! A minimal deterministic discrete-event queue.
 
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 /// One scheduled event.
@@ -36,7 +36,38 @@ impl<E> PartialOrd for Scheduled<E> {
     }
 }
 
+impl<E> Scheduled<E> {
+    /// `(time, seq)` as one integer that ascends in pop order (the
+    /// reverse of `Ord`): the order-preserving bits of `time`, with
+    /// −0.0 folded to +0.0 because `partial_cmp` treats the two as
+    /// equal, then `seq`.
+    fn key(&self) -> u128 {
+        let time = if self.time == 0.0 { 0.0 } else { self.time };
+        let bits = time.to_bits();
+        let ordered = if bits >> 63 == 0 {
+            bits | 1 << 63
+        } else {
+            !bits
+        };
+        (u128::from(ordered) << 64) | u128::from(self.seq)
+    }
+}
+
 /// A time-ordered event queue with deterministic FIFO tie-breaking.
+///
+/// A simulation schedules most of its events before it pops the first
+/// one (a campaign's arrivals, departures, faults and heartbeats), so
+/// the queue keeps those in a plain `Vec` and sorts it once, in place,
+/// at the first [`EventQueue::pop`] or [`EventQueue::peek_time`]:
+/// one `sort_unstable` on an integer key instead of a sift through a
+/// binary heap per event. Events scheduled after that go into a heap,
+/// and each pop takes whichever of the sorted run's next event and the
+/// heap's top comes first by `(time, seq)`.
+///
+/// The pop order is exactly that of a single heap: both sides order by
+/// the same `(time, seq)` key and `seq` is unique, so the unstable sort
+/// has no ties to break. The sort must stay in place: a stable or radix
+/// sort would allocate a second buffer as large as the run.
 ///
 /// # Example
 ///
@@ -53,6 +84,12 @@ impl<E> PartialOrd for Scheduled<E> {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct EventQueue<E> {
+    /// The events scheduled before the first read; once `sorted`, latest
+    /// first, so the next one is at the end.
+    run: Vec<Scheduled<E>>,
+    /// Whether `run` was sorted; from then on `schedule` pushes onto
+    /// `heap`.
+    sorted: bool,
     heap: BinaryHeap<Scheduled<E>>,
     next_seq: u64,
 }
@@ -61,6 +98,8 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
+            run: Vec::new(),
+            sorted: false,
             heap: BinaryHeap::new(),
             next_seq: 0,
         }
@@ -75,27 +114,59 @@ impl<E> EventQueue<E> {
         assert!(!time.is_nan(), "event time must not be NaN");
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Scheduled { time, seq, event });
+        let s = Scheduled { time, seq, event };
+        if self.sorted {
+            self.heap.push(s);
+        } else {
+            self.run.push(s);
+        }
+    }
+
+    /// Whether the earliest pending event is the sorted run's (`None`
+    /// when the queue is empty). Sorts the run on the first call.
+    fn next_in_run(&mut self) -> Option<bool> {
+        if !self.sorted {
+            self.sorted = true;
+            self.run.sort_unstable_by_key(|s| Reverse(s.key()));
+        }
+        match (self.run.last(), self.heap.peek()) {
+            // `Ord` is reversed: the greater event comes first.
+            (Some(r), Some(h)) => Some(r > h),
+            (Some(_), None) => Some(true),
+            (None, Some(_)) => Some(false),
+            (None, None) => None,
+        }
     }
 
     /// Pops the earliest event, if any.
     pub fn pop(&mut self) -> Option<(f64, E)> {
-        self.heap.pop().map(|s| (s.time, s.event))
+        let s = if self.next_in_run()? {
+            self.run.pop()
+        } else {
+            self.heap.pop()
+        };
+        s.map(|s| (s.time, s.event))
     }
 
-    /// The time of the next event without removing it.
-    pub fn peek_time(&self) -> Option<f64> {
-        self.heap.peek().map(|s| s.time)
+    /// The time of the next event without removing it (sorts the run
+    /// on the first read, hence `&mut`).
+    pub fn peek_time(&mut self) -> Option<f64> {
+        let s = if self.next_in_run()? {
+            self.run.last()
+        } else {
+            self.heap.peek()
+        };
+        s.map(|s| s.time)
     }
 
     /// The number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.run.len() + self.heap.len()
     }
 
     /// Whether the queue is empty.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.run.is_empty() && self.heap.is_empty()
     }
 }
 
@@ -156,5 +227,35 @@ mod tests {
         q.schedule(5.0, "m");
         assert_eq!(q.pop().unwrap().1, "m");
         assert_eq!(q.pop().unwrap().1, "z");
+    }
+
+    #[test]
+    fn late_schedules_merge_with_the_sorted_run() {
+        let mut q = EventQueue::new();
+        q.schedule(2.0, "run-2");
+        q.schedule(1.0, "run-1");
+        q.schedule(3.0, "run-3");
+        assert_eq!(q.pop(), Some((1.0, "run-1")));
+        // Scheduled after the first pop: into the heap, behind the run's
+        // equal-time event (later seq), ahead of its later ones.
+        q.schedule(2.0, "heap-2");
+        q.schedule(0.5, "heap-0.5");
+        assert_eq!(q.len(), 4);
+        let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, ["heap-0.5", "run-2", "heap-2", "run-3"]);
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn signed_zeros_and_infinities_order_like_partial_cmp() {
+        let mut q = EventQueue::new();
+        q.schedule(0.0, "pos-zero");
+        q.schedule(f64::INFINITY, "inf");
+        q.schedule(-0.0, "neg-zero");
+        q.schedule(-1.5, "neg");
+        q.schedule(f64::NEG_INFINITY, "neg-inf");
+        let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        // -0.0 == 0.0, so the two zeros pop in scheduling order.
+        assert_eq!(order, ["neg-inf", "neg", "pos-zero", "neg-zero", "inf"]);
     }
 }

@@ -3,7 +3,67 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 use ubiqos_sim::{EventQueue, GraphGenConfig, WindowedRate, WorkloadConfig};
+
+/// The oracle for [`EventQueue`]: every event in one binary heap,
+/// ordered by `(time, seq)` with `partial_cmp` on time.
+#[derive(Default)]
+struct HeapQueue {
+    heap: BinaryHeap<HeapEntry>,
+    next_seq: u64,
+}
+
+struct HeapEntry {
+    time: f64,
+    seq: u64,
+    event: usize,
+}
+
+impl PartialEq for HeapEntry {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+impl Eq for HeapEntry {}
+impl PartialOrd for HeapEntry {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for HeapEntry {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other
+            .time
+            .partial_cmp(&self.time)
+            .unwrap_or(Ordering::Equal)
+            .then(other.seq.cmp(&self.seq))
+    }
+}
+
+impl HeapQueue {
+    fn schedule(&mut self, time: f64, event: usize) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.heap.push(HeapEntry { time, seq, event });
+    }
+    fn pop(&mut self) -> Option<(f64, usize)> {
+        self.heap.pop().map(|e| (e.time, e.event))
+    }
+    fn peek_time(&self) -> Option<f64> {
+        self.heap.peek().map(|e| e.time)
+    }
+}
+
+/// Event times for the oracle test: a small grid, so equal times (and
+/// the two signed zeros, which compare equal) are drawn often.
+const GRID: [f64; 7] = [-0.0, 0.0, -1.0, 0.5, 1.0, 2.0, f64::INFINITY];
+
+/// A popped event with its time as bits, so −0.0 and +0.0 differ.
+fn bits(e: Option<(f64, usize)>) -> Option<(u64, usize)> {
+    e.map(|(t, i)| (t.to_bits(), i))
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -33,6 +93,50 @@ proptest! {
         }
         popped.sort_unstable();
         prop_assert_eq!(popped, (0..times.len()).collect::<Vec<_>>());
+    }
+
+    /// The sorted-run-plus-heap queue pops exactly what one binary heap
+    /// pops, and peeks the same times, whether events were scheduled
+    /// before the first read (the run) or between reads (the heap).
+    #[test]
+    fn event_queue_matches_a_binary_heap_oracle(
+        before in proptest::collection::vec(0usize..GRID.len(), 0..40),
+        ops in proptest::collection::vec((0u8..3, 0usize..GRID.len()), 0..80),
+    ) {
+        let mut q = EventQueue::new();
+        let mut oracle = HeapQueue::default();
+        let mut next_event = 0usize;
+        for &g in &before {
+            q.schedule(GRID[g], next_event);
+            oracle.schedule(GRID[g], next_event);
+            next_event += 1;
+        }
+        prop_assert_eq!(q.len(), oracle.heap.len());
+        for &(op, g) in &ops {
+            match op {
+                0 => prop_assert_eq!(bits(q.pop()), bits(oracle.pop())),
+                1 => prop_assert_eq!(
+                    q.peek_time().map(f64::to_bits),
+                    oracle.peek_time().map(f64::to_bits)
+                ),
+                _ => {
+                    q.schedule(GRID[g], next_event);
+                    oracle.schedule(GRID[g], next_event);
+                    next_event += 1;
+                }
+            }
+            prop_assert_eq!(q.len(), oracle.heap.len());
+            prop_assert_eq!(q.is_empty(), oracle.heap.is_empty());
+        }
+        loop {
+            let (a, b) = (q.pop(), oracle.pop());
+            prop_assert_eq!(bits(a), bits(b));
+            prop_assert_eq!(q.len(), oracle.heap.len());
+            if a.is_none() {
+                break;
+            }
+        }
+        prop_assert!(q.is_empty());
     }
 
     /// Windowed success rates always agree with a naive recomputation.
