@@ -1,6 +1,7 @@
 //! OSD solver benchmarks: the branch-and-bound suffix-bound ablation and
-//! serial-vs-parallel comparison on Table 1-sized instances, and the
-//! hierarchical solver on large graphs beyond the exact limit.
+//! serial-vs-parallel comparison on Table 1-sized instances, the
+//! hierarchical solver on large graphs beyond the exact limit, and the
+//! greedy heuristic that seeds every portfolio solve.
 //!
 //! The same measurements, averaged over more instances and written to
 //! `BENCH_osd.json`, are produced by
@@ -10,7 +11,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use ubiqos_bench::osd::{large_environment, large_graph};
-use ubiqos_distribution::{ExhaustiveOptimal, HierarchicalSolver, OsdProblem, ServiceDistributor};
+use ubiqos_distribution::{
+    ExhaustiveOptimal, GreedyHeuristic, HierarchicalSolver, OsdProblem, ServiceDistributor,
+};
 use ubiqos_model::Weights;
 use ubiqos_sim::GraphGenConfig;
 
@@ -96,10 +99,30 @@ fn bench_hierarchical(c: &mut Criterion) {
     group.finish();
 }
 
+/// The paper's greedy heuristic on the `repro osd` large-graph
+/// instances, from a Table 1-sized graph up to the 100-node rung.
+fn bench_greedy(c: &mut Criterion) {
+    let weights = Weights::default();
+    let mut group = c.benchmark_group("osd/greedy");
+    group.sample_size(10);
+    for nodes in [20usize, 48, 64, 100] {
+        let graph = large_graph(nodes, &mut StdRng::seed_from_u64(0x1a36 ^ nodes as u64));
+        let env = large_environment(nodes);
+        group.bench_with_input(BenchmarkId::from_parameter(nodes), &graph, |b, graph| {
+            b.iter(|| {
+                let p = OsdProblem::new(graph, &env, &weights);
+                GreedyHeuristic::paper().distribute(&p)
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_bound_ablation,
     bench_serial_vs_parallel,
-    bench_hierarchical
+    bench_hierarchical,
+    bench_greedy
 );
 criterion_main!(benches);

@@ -155,6 +155,10 @@ fn print_ablation_quality() {
 }
 
 fn bench_ablations(c: &mut Criterion) {
+    const GROUP: &str = "scaling/ablation-18-nodes";
+    if !c.selects(GROUP) {
+        return;
+    }
     print_ablation_quality();
     let env = ubiqos_sim::table1::table1_environment();
     let weights = Weights::default();
@@ -163,7 +167,7 @@ fn bench_ablations(c: &mut Criterion) {
         ..GraphGenConfig::table1()
     };
     let graph = gen.generate(&mut StdRng::seed_from_u64(22));
-    let mut group = c.benchmark_group("scaling/ablation-18-nodes");
+    let mut group = c.benchmark_group(GROUP);
     group.sample_size(30);
     group.bench_function("paper", |b| {
         b.iter(|| {
@@ -194,6 +198,10 @@ fn bench_ablations(c: &mut Criterion) {
 /// converges in one sweep; the forward order needs up to depth-many.
 fn bench_order_ablation(c: &mut Criterion) {
     use ubiqos_composition::{coordination_with_order, CoordinationOrder};
+    const GROUP: &str = "scaling/oc-order-200-nodes";
+    if !c.selects(GROUP) {
+        return;
+    }
     let catalog = TranscoderCatalog::standard();
     let graph = oc_graph(200);
     {
@@ -220,7 +228,7 @@ fn bench_order_ablation(c: &mut Criterion) {
             rev.passes, rev.checks, fwd.passes, fwd.checks
         );
     }
-    let mut group = c.benchmark_group("scaling/oc-order-200-nodes");
+    let mut group = c.benchmark_group(GROUP);
     group.sample_size(20);
     group.bench_function("reverse", |b| {
         b.iter(|| {

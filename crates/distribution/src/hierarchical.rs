@@ -13,12 +13,13 @@
 //!    is reached, subject to the merged aggregate demand still fitting
 //!    some device. Pinned components stay singleton clusters. Each merge
 //!    records its two children, forming a binary merge tree that
-//!    refinement later unwinds. A merge costs O(E log E + n) plus one
-//!    in-place fit check per candidate pair: only edge-connected pairs
-//!    weigh more than zero, so the argmax runs over the graph's edges
-//!    grouped by cluster pair, and only when none of those pairs is
-//!    eligible does a lex scan take the first eligible zero-weight pair.
-//!    Both steps pick the pair a dense scan of every cluster pair would.
+//!    refinement later unwinds. Only edge-connected pairs weigh more
+//!    than zero, so the candidates sit in a lazy max-heap of cluster
+//!    pairs; a merge re-sums only the pairs whose weight it changed and
+//!    costs O(deg lo + deg hi + |hi|) plus O(log E) per changed pair.
+//!    Only when no heap pair is eligible does a lex scan take the first
+//!    eligible zero-weight pair. Both steps pick the pair a dense scan of
+//!    every cluster pair would.
 //! 2. **Solve coarse.** The abstract graph — aggregate demands per
 //!    cluster, aggregate throughput per cluster pair — is solved with the
 //!    existing branch-and-bound, warm-started and capped by a per-round
@@ -67,6 +68,7 @@ use crate::device::Device;
 use crate::error::DistributionError;
 use crate::optimal::{ExhaustiveOptimal, SolveStats};
 use crate::problem::OsdProblem;
+use std::collections::BinaryHeap;
 use ubiqos_graph::{ComponentId, Cut, DeviceId, ServiceComponent, ServiceGraph};
 use ubiqos_model::{ResourceVector, EPSILON};
 
@@ -302,111 +304,313 @@ fn merge_fits(a: &ResourceVector, b: &ResourceVector, devices: &[Device]) -> boo
         })
 }
 
-/// Deterministic heavy-edge agglomeration down to `target` clusters.
-///
-/// Each merge takes the heaviest eligible cluster pair, ties to the
-/// lexicographically smallest position pair. Eligible means both
-/// clusters are unpinned (pinned clusters never merge) and their
-/// aggregate demand still fits some device (a merge that fits none would
-/// make the coarse problem spuriously infeasible). Stops early when no
-/// eligible pair remains.
-///
-/// Only edge-connected pairs can weigh more than zero, so the argmax runs
-/// over the inter-cluster edges, kept as `(lo, hi, edge index)` position
-/// triples sorted lexicographically: each pair's weight sums its edges in
-/// edge order, the same bits as a dense `weight[lo][hi] += throughput`,
-/// and the pairs are visited in lex order. Only when no positive-weight
-/// pair is eligible does a lex scan take the first eligible pair:
-/// zero-weight merges stay legal so sparse graphs still reach the
-/// target. After a merge the triples are re-keyed in place and the edges
-/// inside the new cluster drop out. A merge costs O(E log E + n) plus
-/// one in-place fit check per candidate pair, and moves the surviving
-/// cluster's merge tree instead of copying it.
-///
-/// The returned vector is sorted by cluster id (smallest member index);
-/// merging keeps that invariant because the merged cluster inherits the
-/// smaller id and the other entry is removed.
-fn cluster_graph(problem: &OsdProblem<'_>, pins: &[Option<usize>], target: usize) -> Vec<Cluster> {
-    let graph = problem.graph();
-    let devices = problem.env().devices();
-    // Position `i` starts as component `i`'s singleton; position order
-    // stays id order.
-    let mut clusters: Vec<Cluster> = graph
-        .components()
-        .map(|(id, c)| Cluster {
-            members: vec![id.index()],
-            demand: c.resources().clone(),
-            pin: pins[id.index()],
-            children: None,
-        })
-        .collect();
-    let (throughput, mut cross): (Vec<f64>, Vec<(usize, usize, usize)>) = graph
-        .edges()
-        .enumerate()
-        .map(|(i, e)| {
-            let (a, b) = (e.from.index(), e.to.index());
-            (e.throughput, (a.min(b), a.max(b), i))
-        })
-        .unzip();
-    let eligible = |clusters: &[Cluster], lo: usize, hi: usize| {
-        clusters[lo].pin.is_none()
-            && clusters[hi].pin.is_none()
-            && merge_fits(&clusters[lo].demand, &clusters[hi].demand, devices)
-    };
+/// A cluster pair in [`cluster_graph`]'s merge heap: its weight and its
+/// two cluster ids, `lo < hi`.
+#[derive(Debug, Clone, Copy)]
+struct PairEntry {
+    weight: f64,
+    lo: usize,
+    hi: usize,
+}
 
-    while clusters.len() > target {
-        cross.sort();
-        // Heaviest eligible positive-weight pair; strict `>` in lex order
-        // keeps the smallest pair on ties.
-        let mut best: Option<(f64, usize, usize)> = None;
-        for run in cross.chunk_by(|x, y| (x.0, x.1) == (y.0, y.1)) {
-            let (lo, hi, _) = run[0];
-            let w = run
-                .iter()
-                .fold(0.0f64, |acc, &(_, _, i)| acc + throughput[i]);
-            if w > 0.0 && best.is_none_or(|(bw, _, _)| w > bw) && eligible(&clusters, lo, hi) {
-                best = Some((w, lo, hi));
+impl PairEntry {
+    /// Heap order: heaviest first, ties to the lexicographically
+    /// smallest id pair. Heap weights are positive and finite, so
+    /// `total_cmp` agrees with `>` on them.
+    fn key_cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.weight
+            .total_cmp(&other.weight)
+            .then_with(|| (other.lo, other.hi).cmp(&(self.lo, self.hi)))
+    }
+}
+
+impl PartialEq for PairEntry {
+    fn eq(&self, other: &Self) -> bool {
+        self.key_cmp(other).is_eq()
+    }
+}
+
+impl Eq for PairEntry {}
+
+impl PartialOrd for PairEntry {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for PairEntry {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.key_cmp(other)
+    }
+}
+
+/// The union of two ascending lists, ascending.
+fn merge_sorted<'a>(a: &'a [usize], b: &'a [usize]) -> impl Iterator<Item = usize> + 'a {
+    let (mut i, mut j) = (0, 0);
+    std::iter::from_fn(move || {
+        let from_a = match (a.get(i), b.get(j)) {
+            (Some(x), Some(y)) => x <= y,
+            (Some(_), None) => true,
+            (None, Some(_)) => false,
+            (None, None) => return None,
+        };
+        if from_a {
+            i += 1;
+            Some(a[i - 1])
+        } else {
+            j += 1;
+            Some(b[j - 1])
+        }
+    })
+}
+
+/// The state of one [`cluster_graph`] run.
+struct Agglomeration<'a> {
+    devices: &'a [Device],
+    /// `(from, to)` component indices and throughput of each edge, in
+    /// the graph's edge order.
+    ends: Vec<(usize, usize)>,
+    throughput: Vec<f64>,
+    /// Slot `c` holds the live cluster whose id is `c`; an absorbed
+    /// cluster's slot empties for good.
+    slots: Vec<Option<Cluster>>,
+    /// Per live cluster, the edges with exactly one end in it, ascending.
+    leaving: Vec<Vec<usize>>,
+    /// `owner[m]`: the id of the live cluster holding component `m`.
+    owner: Vec<usize>,
+    heap: BinaryHeap<PairEntry>,
+    /// Scratch: per-neighbour weight sums (`Some` while a sum is open),
+    /// the neighbours with an open sum in first-seen order, and the next
+    /// merged edge list.
+    acc: Vec<Option<f64>>,
+    touched: Vec<usize>,
+    merged: Vec<usize>,
+}
+
+impl<'a> Agglomeration<'a> {
+    /// Singleton clusters and a heap of every unpinned positive-weight
+    /// pair.
+    fn new(problem: &OsdProblem<'a>, pins: &[Option<usize>]) -> Self {
+        let graph = problem.graph();
+        let n = graph.component_count();
+        let (ends, throughput): (Vec<(usize, usize)>, Vec<f64>) = graph
+            .edges()
+            .map(|e| ((e.from.index(), e.to.index()), e.throughput))
+            .unzip();
+        let mut leaving: Vec<Vec<usize>> = (0..n)
+            .map(|c| {
+                let id = ComponentId::from_index(c);
+                Vec::with_capacity(graph.predecessors(id).len() + graph.successors(id).len())
+            })
+            .collect();
+        for (i, &(a, b)) in ends.iter().enumerate() {
+            leaving[a].push(i);
+            leaving[b].push(i);
+        }
+        let mut agg = Agglomeration {
+            devices: problem.env().devices(),
+            heap: BinaryHeap::with_capacity(ends.len()),
+            ends,
+            throughput,
+            slots: graph
+                .components()
+                .map(|(id, c)| {
+                    Some(Cluster {
+                        members: vec![id.index()],
+                        demand: c.resources().clone(),
+                        pin: pins[id.index()],
+                        children: None,
+                    })
+                })
+                .collect(),
+            leaving,
+            owner: (0..n).collect(),
+            acc: vec![None; n],
+            touched: Vec::new(),
+            merged: Vec::new(),
+        };
+        for c in 0..n {
+            for x in 0..agg.leaving[c].len() {
+                let i = agg.leaving[c][x];
+                // One end is `c`.
+                let other = agg.ends[i].0 + agg.ends[i].1 - c;
+                if other > c {
+                    agg.add(other, i);
+                }
+            }
+            agg.flush(c);
+        }
+        agg
+    }
+
+    fn unpinned(&self, c: usize) -> bool {
+        self.slots[c].as_ref().is_some_and(|cl| cl.pin.is_none())
+    }
+
+    /// Adds edge `i` to the open sum for neighbour `other`, opening it
+    /// if needed.
+    fn add(&mut self, other: usize, i: usize) {
+        let sum = self.acc[other].get_or_insert_with(|| {
+            self.touched.push(other);
+            0.0
+        });
+        *sum += self.throughput[i];
+    }
+
+    /// Closes every open sum, pushing cluster `c`'s unpinned
+    /// positive-weight pairs.
+    fn flush(&mut self, c: usize) {
+        let keep = self.unpinned(c);
+        for x in 0..self.touched.len() {
+            let other = self.touched[x];
+            let weight = self.acc[other].take().expect("open sum");
+            if keep && weight > 0.0 && self.unpinned(other) {
+                self.heap.push(PairEntry {
+                    weight,
+                    lo: c.min(other),
+                    hi: c.max(other),
+                });
             }
         }
-        let cn = clusters.len();
-        let pair = match best {
-            Some((_, lo, hi)) => Some((lo, hi)),
-            // Every eligible pair weighs zero: take the first in lex order.
-            None => (0..cn)
-                .flat_map(|lo| ((lo + 1)..cn).map(move |hi| (lo, hi)))
-                .find(|&(lo, hi)| eligible(&clusters, lo, hi)),
-        };
-        let Some((lo, hi)) = pair else { break };
-        let hi_cl = clusters.remove(hi);
-        let slot = &mut clusters[lo];
-        let mut members = slot.members.clone();
-        members.extend_from_slice(&hi_cl.members);
-        members.sort_unstable();
-        let demand = slot
+        self.touched.clear();
+    }
+
+    /// Whether live clusters `lo` and `hi` may merge.
+    fn eligible(&self, lo: usize, hi: usize) -> bool {
+        match (&self.slots[lo], &self.slots[hi]) {
+            (Some(a), Some(b)) => {
+                a.pin.is_none() && b.pin.is_none() && merge_fits(&a.demand, &b.demand, self.devices)
+            }
+            _ => false,
+        }
+    }
+
+    /// The heaviest eligible positive-weight pair; entries naming an
+    /// absorbed cluster, and ineligible pairs, are dropped on the way.
+    fn pop_heaviest(&mut self) -> Option<(usize, usize)> {
+        while let Some(e) = self.heap.pop() {
+            if self.eligible(e.lo, e.hi) {
+                return Some((e.lo, e.hi));
+            }
+        }
+        None
+    }
+
+    /// The first eligible pair of live clusters in lex order.
+    fn first_eligible(&self) -> Option<(usize, usize)> {
+        let ids: Vec<usize> = (0..self.slots.len())
+            .filter(|&c| self.slots[c].is_some())
+            .collect();
+        ids.iter().enumerate().find_map(|(x, &lo)| {
+            ids[x + 1..]
+                .iter()
+                .find(|&&hi| self.eligible(lo, hi))
+                .map(|&hi| (lo, hi))
+        })
+    }
+
+    /// Folds cluster `hi` into cluster `lo` (`lo < hi`), which keeps its
+    /// id, and pushes the pairs whose weight the merge changed: those
+    /// with a neighbour of `hi`.
+    fn merge(&mut self, lo: usize, hi: usize) {
+        let hi_cl = self.slots[hi].take().expect("live cluster");
+        let lo_cl = self.slots[lo].take().expect("live cluster");
+        // Open a sum for every neighbour of `hi` but `lo`.
+        for x in 0..self.leaving[hi].len() {
+            let (a, b) = self.ends[self.leaving[hi][x]];
+            let other = if self.owner[a] == hi {
+                self.owner[b]
+            } else {
+                self.owner[a]
+            };
+            if other != lo && self.acc[other].is_none() {
+                self.acc[other] = Some(0.0);
+                self.touched.push(other);
+            }
+        }
+        for &m in &hi_cl.members {
+            self.owner[m] = lo;
+        }
+        // Walk both edge lists in one ascending pass: drop the edges now
+        // inside the merged cluster, keep the rest, and add each to its
+        // neighbour's open sum, if any. One end of each edge is in `lo`
+        // now, so the owners sum to `lo` plus the other end's owner.
+        for i in merge_sorted(&self.leaving[lo], &self.leaving[hi]) {
+            let (a, b) = self.ends[i];
+            let other = self.owner[a] + self.owner[b] - lo;
+            if other == lo {
+                continue;
+            }
+            self.merged.push(i);
+            if let Some(sum) = &mut self.acc[other] {
+                *sum += self.throughput[i];
+            }
+        }
+        std::mem::swap(&mut self.leaving[lo], &mut self.merged);
+        self.merged.clear();
+        self.leaving[hi] = Vec::new();
+        let demand = lo_cl
             .demand
             .checked_add(&hi_cl.demand)
             .expect("dimensions validated");
-        let merged = Cluster {
+        let mut members = Vec::with_capacity(lo_cl.members.len() + hi_cl.members.len());
+        members.extend(merge_sorted(&lo_cl.members, &hi_cl.members));
+        self.slots[lo] = Some(Cluster {
             members,
             demand,
             pin: None,
-            children: None,
-        };
-        let lo_cl = std::mem::replace(slot, merged);
-        slot.children = Some(Box::new((lo_cl, hi_cl)));
-        // `hi` folds into `lo`; later positions shift down by one.
-        let moved = |p: usize| match p.cmp(&hi) {
-            std::cmp::Ordering::Less => p,
-            std::cmp::Ordering::Equal => lo,
-            std::cmp::Ordering::Greater => p - 1,
-        };
-        cross.retain_mut(|e| {
-            let (a, b) = (moved(e.0), moved(e.1));
-            *e = (a.min(b), a.max(b), e.2);
-            a != b
+            children: Some(Box::new((lo_cl, hi_cl))),
         });
+        self.flush(lo);
     }
-    clusters
+}
+
+/// Deterministic heavy-edge agglomeration down to `target` clusters.
+///
+/// Each merge takes the heaviest eligible cluster pair, ties to the
+/// lexicographically smallest id pair (a cluster's id is its smallest
+/// member, so id order is position order). Eligible means both clusters
+/// are unpinned (pinned clusters never merge) and their aggregate demand
+/// still fits some device (a merge that fits none would make the coarse
+/// problem spuriously infeasible). Stops early when no eligible pair
+/// remains.
+///
+/// Only edge-connected pairs can weigh more than zero, so the candidates
+/// are the unpinned positive-weight pairs, kept in a lazy max-heap of
+/// [`PairEntry`]s. Every live cluster keeps the edges that leave it in
+/// ascending edge index, and a pair's weight sums its edges in that
+/// order: the same bits as a dense `weight[lo][hi] += throughput`.
+///
+/// A merge folds `hi` into `lo`, which keeps its id. Entries naming `hi`
+/// die with it. Only a pair of the merged cluster and a neighbour of `hi`
+/// changes weight; its sum is redone and pushed. Its old entry stays
+/// behind, lighter than the new one (all throughputs are non-negative),
+/// so it can only pop after the new entry has been taken or rejected,
+/// and then it is rejected too. Every other entry of `lo` keeps its
+/// exact weight. A popped pair that fails the fit check is dropped for
+/// good: demands only grow, so a pair that fits no device never will.
+/// Only when the heap holds no eligible pair does a lex scan take the
+/// first eligible pair: zero-weight merges stay legal so sparse graphs
+/// still reach the target.
+///
+/// Building the initial heap costs O(E). A merge of `lo` and `hi` costs
+/// O(deg lo + deg hi + |hi|) plus O(log E) per neighbour of `hi`: the
+/// two edge lists and member lists are merged, not re-sorted, and `hi`'s
+/// members are relabelled. Each popped entry costs one in-place fit
+/// check, and the surviving cluster's merge tree is moved, not copied.
+///
+/// The returned vector is sorted by cluster id.
+fn cluster_graph(problem: &OsdProblem<'_>, pins: &[Option<usize>], target: usize) -> Vec<Cluster> {
+    let mut agg = Agglomeration::new(problem, pins);
+    let mut live = agg.slots.len();
+    while live > target {
+        let Some((lo, hi)) = agg.pop_heaviest().or_else(|| agg.first_eligible()) else {
+            break;
+        };
+        agg.merge(lo, hi);
+        live -= 1;
+    }
+    agg.slots.into_iter().flatten().collect()
 }
 
 /// Builds the contracted service graph: one component per cluster

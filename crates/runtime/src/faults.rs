@@ -498,8 +498,9 @@ pub struct CampaignOutcome {
     /// batch-size histograms, which stay empty on the serial path).
     /// Never feeds logs or digests.
     pub stages: StageTimes,
-    /// Overlap counters of the batched pipeline runtime; `None` for
-    /// serial runs.
+    /// The shard core's speculation-memo counters. Every campaign loop
+    /// fills them: the serial loop reports `batches == 0` and every
+    /// arrival as adopted or speculated inline.
     pub pipeline: Option<PipelineStats>,
 }
 
@@ -1631,7 +1632,7 @@ pub(crate) fn run_fault_campaign_impl(
         report,
         log: core.log,
         stages: core.shard.server.stage_times(),
-        pipeline: pipeline.map(|_| core.memo.stats),
+        pipeline: Some(core.memo.stats),
     })
 }
 

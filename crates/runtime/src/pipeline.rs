@@ -443,7 +443,13 @@ mod tests {
         );
         assert!(batched.stages.queue_wait_us.total() > 0);
         let serial = run_fault_campaign(&cfg).expect("serial holds");
-        assert!(serial.pipeline.is_none(), "serial runs carry no stats");
+        let memo = serial.pipeline.expect("serial runs carry memo stats");
+        assert_eq!(memo.batches, 0, "the serial loop admits no batches");
+        assert_eq!(
+            memo.adopted + memo.inline_speculated,
+            u64::from(serial.report.arrivals),
+            "every serial arrival either adopts or speculates inline: {memo:?}"
+        );
         assert_eq!(serial.stages.batch_sizes.total(), 0);
         assert_eq!(serial.stages.queue_wait_us.total(), 0);
     }

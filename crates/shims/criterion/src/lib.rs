@@ -11,7 +11,8 @@
 //! runs exactly once so the test suite stays fast. The first argument
 //! that is not a flag filters benchmarks by substring of their full
 //! `group/id` name, as upstream criterion does: `cargo bench --bench
-//! osd_solver -- osd/hierarchical` runs only that group.
+//! osd_solver -- osd/hierarchical` runs only that group. Work a bench
+//! does outside its timed bodies is gated on [`Criterion::selects`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,8 +52,12 @@ impl Criterion {
         criterion
     }
 
-    /// Whether the benchmark named `name` passes the filter.
-    fn selects(&self, name: &str) -> bool {
+    /// Whether the benchmark or group named `name` passes the filter: no
+    /// filter, or the filter is a substring of `name`. A bench target
+    /// gates work that runs outside any timed body (a printed table, a
+    /// one-off comparison) on its group's name with this, so a filtered
+    /// run does only the selected group's work.
+    pub fn selects(&self, name: &str) -> bool {
         self.filter.as_deref().is_none_or(|f| name.contains(f))
     }
 
@@ -332,6 +337,33 @@ mod tests {
         }
         c.bench_function("loose", |b| b.iter(|| skipped += 1));
         assert_eq!((kept, skipped), (1, 0));
+    }
+
+    #[test]
+    fn side_work_gated_on_a_group_name_follows_the_filter() {
+        let mut printed = Vec::new();
+        for filter in ["des/fill_drain", "scaling/ablation", "scaling"] {
+            let c = args(&["--bench", filter]);
+            for group in [
+                "scaling/ablation-18-nodes",
+                "scaling/oc-order-200-nodes",
+                "des",
+            ] {
+                if c.selects(group) {
+                    printed.push((filter, group));
+                }
+            }
+        }
+        assert_eq!(
+            printed,
+            [
+                ("scaling/ablation", "scaling/ablation-18-nodes"),
+                ("scaling", "scaling/ablation-18-nodes"),
+                ("scaling", "scaling/oc-order-200-nodes"),
+            ],
+            "a benchmark filter skips every other group's side work"
+        );
+        assert!(args(&["--test"]).selects("des"), "no filter selects all");
     }
 
     #[test]
