@@ -80,11 +80,13 @@ const BOUND_SLACK: f64 = 1.0 - 1e-9;
 /// cluster cannot improve the incumbent by more than rounding noise.
 const GAIN_FLOOR: f64 = 1e-12;
 
-/// Default per-round node budget for the coarse solves. Each coarse
+/// Per-round node budget for the coarse solves. Each coarse
 /// instance is warm-started with the previous round's projection, so an
 /// anytime search this deep returns a near-optimal coarse cut while
 /// keeping the whole refinement loop orders of magnitude cheaper than a
-/// raised-limit exhaustive run on the concrete instance.
+/// raised-limit exhaustive run on the concrete instance. The
+/// certificate's gap stays honest whatever the budget, because the lower
+/// bound is instance-level, not search-derived.
 const DEFAULT_COARSE_BUDGET: u64 = 4_000;
 
 /// Optimality bracket produced by one hierarchical solve.
@@ -141,7 +143,6 @@ pub struct HierarchicalSolver {
     refine_limit: usize,
     gap_tolerance: f64,
     max_rounds: u32,
-    coarse_budget: Option<u64>,
     parallel: bool,
     warm_start: Option<Vec<usize>>,
     last_certificate: Option<GapCertificate>,
@@ -156,8 +157,7 @@ impl Default for HierarchicalSolver {
             refine_limit: 28,
             gap_tolerance: 0.02,
             max_rounds: 32,
-            coarse_budget: Some(DEFAULT_COARSE_BUDGET),
-            parallel: cfg!(feature = "parallel"),
+            parallel: true,
             warm_start: None,
             last_certificate: None,
             last_stats: None,
@@ -216,16 +216,6 @@ impl HierarchicalSolver {
         self
     }
 
-    /// Node budget per coarse solve (`None` = unbudgeted exact coarse
-    /// solves). Warm-started anytime coarse searches keep every round
-    /// cheap; the certificate's gap stays honest either way because the
-    /// lower bound is instance-level, not search-derived.
-    #[must_use]
-    pub fn with_coarse_budget(mut self, budget: Option<u64>) -> Self {
-        self.coarse_budget = budget;
-        self
-    }
-
     /// Enables or disables the parallel fan-out of the *exact delegation
     /// path*. Coarse refinement solves always run the serial subtree: a
     /// node budget's cutoff point is only deterministic there (parallel
@@ -235,7 +225,7 @@ impl HierarchicalSolver {
     /// way.
     #[must_use]
     pub fn with_parallel(mut self, parallel: bool) -> Self {
-        self.parallel = parallel && cfg!(feature = "parallel");
+        self.parallel = parallel;
         self
     }
 
@@ -998,7 +988,7 @@ impl ServiceDistributor for HierarchicalSolver {
             // deterministic without racing workers (see `with_parallel`).
             let mut inner = ExhaustiveOptimal::new()
                 .with_node_limit(self.refine_limit)
-                .with_node_budget(self.coarse_budget)
+                .with_node_budget(Some(DEFAULT_COARSE_BUDGET))
                 .with_parallel(false);
             inner.set_warm_start(coarse_seed.take());
             match inner.distribute(&coarse_problem) {

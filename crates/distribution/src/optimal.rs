@@ -21,9 +21,12 @@
 //!
 //! # Parallel search and determinism
 //!
-//! With the `parallel` feature (on by default) the top two levels of the
-//! assignment tree are expanded into independent feasible subtree roots,
-//! searched concurrently via [`ubiqos_parallel::par_map`]. Workers share
+//! By default the top two levels of the assignment tree are expanded
+//! into independent feasible subtree roots, searched concurrently via
+//! [`ubiqos_parallel::par_map`] on `UBIQOS_THREADS` workers (one worker
+//! runs them in root order on the calling thread);
+//! [`ExhaustiveOptimal::with_parallel`]`(false)` keeps the serial search
+//! as the reference the equivalence tests compare against. Workers share
 //! an incumbent cost through an `AtomicU64` holding the `f64` bit
 //! pattern, so a bound proven in one subtree prunes the others.
 //!
@@ -39,7 +42,7 @@
 //! Fan-out has a fixed cost (root expansion, worker spawning, atomic
 //! traffic) that small instances never amortise, so instances with fewer
 //! free components than [`ExhaustiveOptimal::parallel_threshold`] run the
-//! serial search even when the parallel feature is on.
+//! serial search even when the fan-out is enabled.
 //!
 //! # Warm starts
 //!
@@ -128,7 +131,7 @@ impl Default for ExhaustiveOptimal {
     fn default() -> Self {
         ExhaustiveOptimal {
             node_limit: 32,
-            parallel: cfg!(feature = "parallel"),
+            parallel: true,
             parallel_threshold: DEFAULT_PARALLEL_THRESHOLD,
             suffix_bound: true,
             node_budget: None,
@@ -163,7 +166,7 @@ impl ExhaustiveOptimal {
     /// for the equivalence tests.
     #[must_use]
     pub fn with_parallel(mut self, parallel: bool) -> Self {
-        self.parallel = parallel && cfg!(feature = "parallel");
+        self.parallel = parallel;
         self
     }
 
@@ -1071,14 +1074,7 @@ mod tests {
             .with_parallel(true)
             .with_parallel_threshold(0);
         par.distribute(&p).unwrap();
-        let subtrees = par.last_stats().unwrap().subtrees;
-        if cfg!(feature = "parallel") {
-            assert!(subtrees > 1);
-        } else {
-            // `with_parallel(true)` degrades to the serial path when the
-            // feature is compiled out.
-            assert_eq!(subtrees, 1);
-        }
+        assert!(par.last_stats().unwrap().subtrees > 1);
     }
 
     #[test]

@@ -101,22 +101,6 @@ impl SolverPortfolio {
         self
     }
 
-    /// Replaces the exact member (to adjust its node limit or serial
-    /// fallback threshold).
-    #[must_use]
-    pub fn with_exact(mut self, exact: ExhaustiveOptimal) -> Self {
-        self.exact = exact;
-        self
-    }
-
-    /// Replaces the hierarchical member (to adjust clustering targets or
-    /// the gap tolerance).
-    #[must_use]
-    pub fn with_hierarchical(mut self, hierarchical: HierarchicalSolver) -> Self {
-        self.hierarchical = hierarchical;
-        self
-    }
-
     /// Seeds the next solve with a previous full assignment (a session's
     /// placement before a fault, typically). The portfolio forwards the
     /// cheaper of this seed and the greedy placement to whichever solver

@@ -7,11 +7,9 @@
 //! * [`par_map`] — map a function over a slice with a shared work
 //!   queue (an atomic cursor), returning results **in input order**
 //!   regardless of which worker produced them;
-//! * [`par_run`] — the index-only variant for "run these N independent
-//!   jobs" fan-outs;
 //! * [`par_map_threads`] — [`par_map`] with an explicit worker count,
 //!   for callers that sweep thread counts inside one process;
-//! * [`thread_count`] — the worker count used by both, derived from
+//! * [`thread_count`] — the worker count [`par_map`] uses, derived from
 //!   `std::thread::available_parallelism` and overridable with the
 //!   `UBIQOS_THREADS` environment variable (handy both for pinning
 //!   benchmarks and for exercising the parallel code path on
@@ -25,7 +23,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Number of worker threads [`par_map`] and [`par_run`] spawn.
+/// Number of worker threads [`par_map`] spawns.
 ///
 /// `UBIQOS_THREADS` (a positive integer) takes precedence; otherwise
 /// the detected hardware parallelism is used, floored at 2 so the
@@ -113,17 +111,6 @@ where
         .collect()
 }
 
-/// Runs `f(0), f(1), …, f(jobs - 1)` across [`thread_count`] threads,
-/// returning the results in index order.
-pub fn par_run<U, F>(jobs: usize, f: F) -> Vec<U>
-where
-    U: Send,
-    F: Fn(usize) -> U + Sync,
-{
-    let indices: Vec<usize> = (0..jobs).collect();
-    par_map(&indices, |_, &i| f(i))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,19 +130,9 @@ mod tests {
     }
 
     #[test]
-    fn par_run_matches_serial() {
-        assert_eq!(
-            par_run(9, |i| i * i),
-            (0..9).map(|i| i * i).collect::<Vec<_>>()
-        );
-        assert_eq!(par_run(0, |i| i), Vec::<usize>::new());
-        assert_eq!(par_run(1, |i| i + 5), vec![5]);
-    }
-
-    #[test]
     fn worker_panics_propagate() {
         let result = std::panic::catch_unwind(|| {
-            par_run(8, |i| {
+            par_map(&[0usize, 1, 2, 3, 4, 5, 6, 7], |_, &i| {
                 if i == 3 {
                     panic!("boom");
                 }

@@ -550,11 +550,12 @@ impl DomainServer {
         self.stages.lock().expect("stage lock").clone()
     }
 
-    /// Records one pipeline-runtime queue-wait sample (µs between an
-    /// event's batch admission and its deterministic commit) into the
-    /// stage profile, attributed to this server's shard slot — no single
-    /// global admission queue is assumed. Wall-clock only — never
-    /// observable in logs.
+    /// Records one queue-wait sample (µs) into the stage profile,
+    /// attributed to this server's shard slot — no single global
+    /// admission queue is assumed. The pipeline runtime records the
+    /// wall-clock wait between an event's batch admission and its
+    /// deterministic commit; the federation records a message's virtual
+    /// send-to-delivery delay. Never observable in logs.
     pub fn record_queue_wait_us(&self, us: u64) {
         self.stages
             .lock()

@@ -120,7 +120,7 @@ use ubiqos_graph::{
     AbstractComponentSpec, AbstractServiceGraph, ComponentRole, DeviceId, PinHint, ServiceComponent,
 };
 use ubiqos_model::{QosDimension, QosValue, QosVector, ResourceVector};
-use ubiqos_sim::{EventQueue, FaultKind, FaultScheduleConfig, TimedFault, WorkloadConfig};
+use ubiqos_sim::{EventQueue, FaultKind, FaultScheduleConfig, Request, TimedFault, WorkloadConfig};
 
 /// Mix constant separating the fault-schedule RNG stream from the
 /// workload stream (both derive from the campaign seed).
@@ -1539,6 +1539,42 @@ pub fn run_fault_campaign_with(
     run_fault_campaign_impl(cfg, schedule, None)
 }
 
+/// Generates a campaign's request trace and schedules its up-front
+/// events — the one setup order both the serial loop and the federated
+/// engine replay, which is what makes a 1-shard federation pop the
+/// serial loop's exact event sequence:
+///
+/// 1. arrival, then departure, for each request in trace order;
+/// 2. faults in schedule order;
+/// 3. imperfect detection only: every heartbeat, device-major over the
+///    global device index.
+///
+/// Only those four [`CampaignEvent`] kinds are ever converted into `E`.
+pub(crate) fn campaign_timeline<E: From<CampaignEvent>>(
+    cfg: &FaultCampaignConfig,
+    schedule: &[TimedFault],
+) -> (Vec<Request>, EventQueue<E>) {
+    let workload = WorkloadConfig::overload(cfg.requests, cfg.horizon_h);
+    let trace = workload.generate(&mut StdRng::seed_from_u64(cfg.seed));
+    let mut queue = EventQueue::new();
+    for (i, r) in trace.iter().enumerate() {
+        queue.schedule(r.arrival_h, CampaignEvent::Arrival(i).into());
+        queue.schedule(r.departure_h(), CampaignEvent::Departure(i).into());
+    }
+    for (j, f) in schedule.iter().enumerate() {
+        queue.schedule(f.at_h, CampaignEvent::Fault(j).into());
+    }
+    if !cfg.perfect_detection() {
+        for d in 0..cfg.devices {
+            for k in 0..=cfg.heartbeat_steps() {
+                let at_h = k as f64 * cfg.heartbeat_period_h;
+                queue.schedule(at_h, CampaignEvent::Heartbeat(d).into());
+            }
+        }
+    }
+    (trace, queue)
+}
+
 /// The serial and batched loop behind [`run_fault_campaign_with`]
 /// (`pipeline == None`: commit events straight off the DES queue) and
 /// [`crate::pipeline::run_fault_campaign_batched`] (`Some`: admit in
@@ -1556,28 +1592,7 @@ pub(crate) fn run_fault_campaign_impl(
         ..DurabilityConfig::default()
     };
     let mut core = ShardCore::new(Shard::new(build_space(cfg.devices), cfg.clone()), 0, &inert);
-    let workload = WorkloadConfig::overload(cfg.requests, cfg.horizon_h);
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let trace = workload.generate(&mut rng);
-
-    let mut queue: EventQueue<CampaignEvent> = EventQueue::new();
-    for (i, r) in trace.iter().enumerate() {
-        queue.schedule(r.arrival_h, CampaignEvent::Arrival(i));
-        queue.schedule(r.departure_h(), CampaignEvent::Departure(i));
-    }
-    for (j, f) in schedule.iter().enumerate() {
-        queue.schedule(f.at_h, CampaignEvent::Fault(j));
-    }
-    if !cfg.perfect_detection() {
-        for d in 0..cfg.devices {
-            for k in 0..=cfg.heartbeat_steps() {
-                queue.schedule(
-                    k as f64 * cfg.heartbeat_period_h,
-                    CampaignEvent::Heartbeat(d),
-                );
-            }
-        }
-    }
+    let (trace, mut queue) = campaign_timeline::<CampaignEvent>(cfg, schedule);
 
     let mut pending: VecDeque<(f64, CampaignEvent)> = VecDeque::new();
     let mut batch_wall = Instant::now();

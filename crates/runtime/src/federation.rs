@@ -94,16 +94,15 @@
 use crate::domain_server::SessionId;
 use crate::durability::{assert_recovered_equal, DurabilityConfig};
 use crate::faults::{
-    build_space, campaign_schedule, client_draw, pick_live, template_name, Arrival, Custody,
-    EventLog, FaultCampaignConfig, InvariantViolation, Shard, ShardCore, TIME_EPS,
+    build_space, campaign_schedule, campaign_timeline, client_draw, pick_live, template_name,
+    Arrival, CampaignEvent, Custody, EventLog, FaultCampaignConfig, InvariantViolation, Shard,
+    ShardCore, TIME_EPS,
 };
 use crate::profiler::StageTimes;
 use crate::retry_queue::RetryPolicy;
 use crate::transport::{
     ChannelTransport, Envelope, LossConfig, LossStats, LossyTransport, Transport,
 };
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use ubiqos::fault_report::fnv1a;
@@ -112,8 +111,7 @@ use ubiqos_discovery::{DiscoveryQuery, DomainId, ServiceRegistry};
 use ubiqos_graph::{AbstractServiceGraph, DeviceId};
 use ubiqos_model::QosVector;
 use ubiqos_sim::{
-    merge_schedules, EventQueue, FaultKind, MobilityWaveConfig, Request, ShardCrashPlan,
-    TimedFault, WorkloadConfig,
+    merge_schedules, EventQueue, FaultKind, MobilityWaveConfig, Request, ShardCrashPlan, TimedFault,
 };
 
 /// Hard ceiling on a receiver's in-order release buffer. The real
@@ -347,7 +345,10 @@ pub enum FederationMsg {
 }
 
 /// Federation-level counters (all deterministic; serialized into
-/// `BENCH_federation.json`).
+/// `BENCH_federation.json`). `retransmissions`, `duplicate_drops`,
+/// `shard_crashes`, `wal_replayed` and `snapshot_restores` are sums, and
+/// `reorder_depth_max` the maximum, of the shards' own
+/// [`FaultReport`] counters, folded once when the run finishes.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FederationStats {
     /// Envelopes sent over the transport.
@@ -520,6 +521,19 @@ enum FedEvent {
     Expire(u64),
     /// A deferred message for `shard` becomes deliverable.
     Deliver(usize),
+}
+
+impl From<CampaignEvent> for FedEvent {
+    /// The four kinds [`campaign_timeline`] schedules up front.
+    fn from(event: CampaignEvent) -> Self {
+        match event {
+            CampaignEvent::Arrival(i) => FedEvent::Arrival(i),
+            CampaignEvent::Departure(i) => FedEvent::Departure(i),
+            CampaignEvent::Fault(j) => FedEvent::Fault(j),
+            CampaignEvent::Heartbeat(d) => FedEvent::Heartbeat(d),
+            CampaignEvent::LeaseCheck => unreachable!("lease checks are scheduled per shard"),
+        }
+    }
 }
 
 /// Net-layer events: physical arrivals and retransmission timers.
@@ -838,29 +852,9 @@ impl<'a> Engine<'a> {
             cores.push(ShardCore::new(shard, offsets[s], &cfg.durability));
         }
 
-        let workload = WorkloadConfig::overload(base.requests, base.horizon_h);
-        let mut rng = StdRng::seed_from_u64(base.seed);
-        let trace = workload.generate(&mut rng);
-
-        // Exact serial setup order: arrival+departure per request,
-        // faults per schedule index, heartbeats device-major over the
-        // *global* device index. At one shard this makes the DES pop
-        // sequence identical to the serial loop's.
-        let mut queue: EventQueue<FedEvent> = EventQueue::new();
-        for (i, r) in trace.iter().enumerate() {
-            queue.schedule(r.arrival_h, FedEvent::Arrival(i));
-            queue.schedule(r.departure_h(), FedEvent::Departure(i));
-        }
-        for (j, f) in schedule.iter().enumerate() {
-            queue.schedule(f.at_h, FedEvent::Fault(j));
-        }
-        if !base.perfect_detection() {
-            for d in 0..base.devices {
-                for k in 0..=base.heartbeat_steps() {
-                    queue.schedule(k as f64 * base.heartbeat_period_h, FedEvent::Heartbeat(d));
-                }
-            }
-        }
+        // The serial loop's setup order: at one shard the DES pops the
+        // serial loop's exact event sequence.
+        let (trace, queue) = campaign_timeline::<FedEvent>(base, &schedule);
 
         let stats = FederationStats::new(n);
         // The crash outage windows. The schedule is the source of truth
@@ -1138,7 +1132,6 @@ impl<'a> Engine<'a> {
             // absorb it here — handlers must never see duplicates —
             // and re-ack so the sender can stop retransmitting even if
             // the original ack was lost.
-            self.stats.duplicate_drops += 1;
             self.cores[to].shard.report.duplicate_drops += 1;
             self.send_ack(to, from);
             return;
@@ -1166,7 +1159,6 @@ impl<'a> Engine<'a> {
                 "reorder buffer exceeded its deterministic bound"
             );
             self.stats.reorder_buffered += 1;
-            self.stats.reorder_depth_max = self.stats.reorder_depth_max.max(depth);
             let report = &mut self.cores[to].shard.report;
             report.reorder_depth_max = report.reorder_depth_max.max(depth as u32);
             self.send_ack(to, from);
@@ -1258,7 +1250,6 @@ impl<'a> Engine<'a> {
                 // stamp and arm the next (backed-off) timer.
                 env.tx_at_h = self.now_h;
                 env.arrive_at_h = self.now_h;
-                self.stats.retransmissions += 1;
                 self.cores[from].shard.report.retransmissions += 1;
                 self.transmit(env);
                 self.netq.schedule(
@@ -1672,9 +1663,6 @@ impl<'a> Engine<'a> {
         // Fresh checkpoint: the post-recovery state (with the counter
         // bumps above) becomes the new replay base.
         core.wal.checkpoint(&core.shard);
-        self.stats.shard_crashes += 1;
-        self.stats.wal_replayed += replayed;
-        self.stats.snapshot_restores += 1;
         self.stats.wal_replay_depths.push(replayed);
     }
 
@@ -2258,11 +2246,23 @@ impl<'a> Engine<'a> {
         Ok(())
     }
 
-    /// Consumes the engine into the outcome.
+    /// Consumes the engine into the outcome. The transport and crash
+    /// totals are folds over what each shard's report already counts.
     fn finish(self) -> FederationOutcome {
         let wals = self.cores.iter().map(|c| &c.wal);
         let mut stats = self.stats;
         stats.wal_records = wals.clone().map(|w| w.appended).sum();
+        let counts = |field: fn(&FaultReport) -> u32| {
+            self.cores
+                .iter()
+                .map(move |c| u64::from(field(&c.shard.report)))
+        };
+        stats.retransmissions = counts(|r| r.retransmissions).sum();
+        stats.duplicate_drops = counts(|r| r.duplicate_drops).sum();
+        stats.reorder_depth_max = counts(|r| r.reorder_depth_max).max().unwrap_or(0);
+        stats.shard_crashes = counts(|r| r.shard_crashes).sum();
+        stats.wal_replayed = counts(|r| r.wal_replayed).sum();
+        stats.snapshot_restores = counts(|r| r.snapshot_restores).sum();
         debug_assert_eq!(
             stats.wal_replayed,
             wals.clone().map(|w| w.replayed).sum::<u64>(),

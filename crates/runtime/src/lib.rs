@@ -12,8 +12,8 @@
 //!   switch / reconfiguration;
 //! * [`ComponentRepository`] — dynamic downloading of component code with
 //!   a size ÷ bandwidth cost model;
-//! * [`Profiler`] — the online resource-profiling service ([2, 13] in the
-//!   paper);
+//! * [`profiler`] — per-stage pipeline timing ([`StageTimes`]) and the
+//!   queue-wait and batch-size histograms the bench artifacts report;
 //! * [`checkpoint`] — application checkpointing and the state-handoff
 //!   timing model (wireless handoffs cost more than wired ones, matching
 //!   the paper's PC→PDA vs PDA→PC asymmetry);
@@ -82,7 +82,7 @@ pub use overhead::ConfigOverhead;
 pub use pipeline::{
     run_fault_campaign_batched, run_fault_campaign_batched_with, PipelineConfig, PipelineStats,
 };
-pub use profiler::{PowHistogram, Profiler, StageTimes};
+pub use profiler::{PowHistogram, StageTimes};
 pub use recovery::{Degradation, RecoveryReport};
 pub use repository::ComponentRepository;
 pub use retry_queue::{ParkedSession, RetryPolicy, RetryQueue};

@@ -1,63 +1,7 @@
-//! The online resource-profiling service (Section 3.1, assumption:
-//! "profiling or monitoring services are available to automatically
-//! measure the resource requirements for all application services";
-//! cf. Abdelzaher's automated profiling and QualProbes).
+//! Stage accounting for the configuration pipeline: [`StageTimes`]
+//! and the [`PowHistogram`] distributions it folds.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use ubiqos_model::ResourceVector;
-
-/// Measures component resource requirements with bounded multiplicative
-/// noise, modeling an online profiling subsystem.
-///
-/// Profiles are deterministic per `(seed, sample index)` so experiments
-/// are reproducible.
-#[derive(Debug, Clone)]
-pub struct Profiler {
-    rng: StdRng,
-    /// Maximum relative measurement error, e.g. 0.1 = ±10%.
-    noise: f64,
-}
-
-impl Profiler {
-    /// Creates a profiler with the given seed and relative noise bound.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `noise` is negative or ≥ 1 (a measurement can never be
-    /// negative).
-    pub fn new(seed: u64, noise: f64) -> Self {
-        assert!((0.0..1.0).contains(&noise), "noise must be in [0, 1)");
-        Profiler {
-            rng: StdRng::seed_from_u64(seed),
-            noise,
-        }
-    }
-
-    /// A noise-free profiler (measurements equal ground truth).
-    pub fn exact(seed: u64) -> Self {
-        Profiler::new(seed, 0.0)
-    }
-
-    /// Measures a component's true requirement vector, returning the
-    /// observed (noisy) vector.
-    pub fn measure(&mut self, truth: &ResourceVector) -> ResourceVector {
-        let observed: Vec<f64> = truth
-            .amounts()
-            .iter()
-            .map(|&v| {
-                let factor = if self.noise == 0.0 {
-                    1.0
-                } else {
-                    1.0 + self.rng.gen_range(-self.noise..self.noise)
-                };
-                (v * factor).max(0.0)
-            })
-            .collect();
-        ResourceVector::new(observed).expect("non-negative by construction")
-    }
-}
 
 /// A power-of-two bucketed histogram of non-negative integer samples.
 ///
@@ -134,9 +78,12 @@ impl PowHistogram {
 /// the simulated clock, so profiling cannot perturb reproducibility.
 ///
 /// The same struct is the shared stage-accounting type of
-/// `BENCH_scale.json`: the pipeline runtime folds its queue-wait and
-/// batch-size distributions into the two histograms (both stay empty
-/// under the serial runtime).
+/// `BENCH_scale.json` and `BENCH_federation.json`: the pipeline runtime
+/// folds its queue-wait and batch-size distributions into the two
+/// histograms, and the federation its message-delivery delays into the
+/// queue-wait one (both stay empty under the serial runtime). The
+/// queue-wait samples are the one part that is not always wall-clock;
+/// see [`StageTimes::queue_wait_us`].
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct StageTimes {
     /// Time inside `ServiceRegistry::discover_all` (memo hits included).
@@ -150,9 +97,14 @@ pub struct StageTimes {
     pub download_ms: f64,
     /// `configure` invocations measured.
     pub configures: u64,
-    /// Wall-clock µs each event spent between batch admission (pop from
-    /// the DES queue) and its deterministic commit — the pipeline
-    /// runtime's queue-wait distribution. Empty under the serial loop.
+    /// Queue-wait samples in µs, in one of two clocks depending on the
+    /// runtime that recorded them. The pipeline runtime records
+    /// *wall-clock* µs each event spent between batch admission (pop
+    /// from the DES queue) and its deterministic commit. The federation
+    /// records *virtual* µs between a message's send and its delivery
+    /// (deferred behind a shard partition; zero when immediate). So a
+    /// pipeline p99 and a federation p99 are not comparable. Empty
+    /// under the serial loop.
     pub queue_wait_us: PowHistogram,
     /// Events per admitted batch. Empty under the serial loop.
     pub batch_sizes: PowHistogram,
@@ -287,37 +239,5 @@ mod tests {
         sum.absorb_shard(0, &t);
         assert_eq!(sum.shard_queue_wait_us[2].total(), 1);
         assert_eq!(sum.shard_retransmits[1].total(), 1);
-    }
-
-    #[test]
-    fn exact_profiler_is_identity() {
-        let mut p = Profiler::exact(1);
-        let truth = ResourceVector::mem_cpu(16.0, 25.0);
-        assert_eq!(p.measure(&truth), truth);
-    }
-
-    #[test]
-    fn noise_is_bounded() {
-        let mut p = Profiler::new(2, 0.1);
-        let truth = ResourceVector::mem_cpu(100.0, 50.0);
-        for _ in 0..100 {
-            let m = p.measure(&truth);
-            assert!(m[0] >= 90.0 - 1e-9 && m[0] <= 110.0 + 1e-9, "mem {m:?}");
-            assert!(m[1] >= 45.0 - 1e-9 && m[1] <= 55.0 + 1e-9, "cpu {m:?}");
-        }
-    }
-
-    #[test]
-    fn deterministic_per_seed() {
-        let truth = ResourceVector::mem_cpu(10.0, 10.0);
-        let a = Profiler::new(7, 0.2).measure(&truth);
-        let b = Profiler::new(7, 0.2).measure(&truth);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    #[should_panic(expected = "noise must be in")]
-    fn rejects_out_of_range_noise() {
-        let _ = Profiler::new(0, 1.5);
     }
 }

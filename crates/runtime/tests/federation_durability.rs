@@ -242,6 +242,51 @@ fn crashes_compose_with_partition_aligned_bursts() {
         baseline.shard_digests(),
         "crash + partition + aligned bursts diverged from the crash-free digests"
     );
+
+    // Three times the moves and a partition window on two shards: here
+    // burst loss leaves payloads queued behind a gap, so the in-order
+    // release buffers actually fill. The federation's transport and
+    // crash totals are folds over the shards' own reports (sums, and a
+    // maximum for the buffer depth); this cell pins all six.
+    let mut heavy = cfg(shards);
+    heavy.mobility.moves = 48;
+    heavy.shard_partitions = vec![
+        ShardPartition {
+            shard: 1,
+            from_h: 2.0,
+            to_h: 2.5,
+        },
+        ShardPartition {
+            shard: 0,
+            from_h: 6.0,
+            to_h: 6.5,
+        },
+    ];
+    let baseline = run_federation_campaign(&heavy).expect("heavy crash-free run");
+    heavy.crashes = crash_plan(3, shards);
+    let schedule = heavy.schedule();
+    let lc = LossConfig::lossy(0xd07_ab1e, 0.2).align_bursts(&heavy.shard_partitions);
+    let (crashed, _) =
+        run_federation_campaign_lossy(&heavy, &schedule, lc).expect("heavy crashed bursty run");
+    assert_eq!(
+        crashed.shard_digests(),
+        baseline.shard_digests(),
+        "heavy crash + partitions + aligned bursts diverged from the crash-free digests"
+    );
+    let s = &crashed.stats;
+    assert_eq!(
+        [
+            s.retransmissions,
+            s.duplicate_drops,
+            s.reorder_depth_max,
+            s.shard_crashes,
+            s.wal_replayed,
+            s.snapshot_restores,
+        ],
+        [162, 56, 3, 3, 357, 3],
+        "pinned federation totals (retransmissions, duplicate drops, reorder depth, \
+         crashes, WAL records replayed, snapshot restores)"
+    );
 }
 
 /// A crash window opened in the middle of a two-phase handoff (between

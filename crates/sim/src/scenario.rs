@@ -189,15 +189,9 @@ pub fn run_fig5(cfg: &Fig5Config) -> Fig5Outcome {
         Policy::Random,
         Policy::Heuristic,
     ];
-    #[cfg(feature = "parallel")]
     let curves = ubiqos_parallel::par_map(&policies, |_, &policy| {
         simulate_policy(cfg, policy, &graphs, &trace)
     });
-    #[cfg(not(feature = "parallel"))]
-    let curves = policies
-        .iter()
-        .map(|&policy| simulate_policy(cfg, policy, &graphs, &trace))
-        .collect();
     Fig5Outcome { curves }
 }
 
@@ -231,23 +225,12 @@ pub fn run_fig5_multi(cfg: &Fig5Config, seeds: &[u64]) -> Vec<PolicySummary> {
     ];
     // Seeds are independent full runs; fan them out and fold the results
     // back in seed order so the summary does not depend on scheduling.
-    #[cfg(feature = "parallel")]
     let outcomes = ubiqos_parallel::par_map(seeds, |_, &seed| {
         run_fig5(&Fig5Config {
             seed,
             ..cfg.clone()
         })
     });
-    #[cfg(not(feature = "parallel"))]
-    let outcomes: Vec<Fig5Outcome> = seeds
-        .iter()
-        .map(|&seed| {
-            run_fig5(&Fig5Config {
-                seed,
-                ..cfg.clone()
-            })
-        })
-        .collect();
     let mut rates: Vec<Vec<f64>> = vec![Vec::new(); policies.len()];
     for outcome in &outcomes {
         for (i, p) in policies.iter().enumerate() {

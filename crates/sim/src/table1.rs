@@ -183,10 +183,10 @@ const WAVE: usize = 16;
 /// Runs the Table 1 experiment.
 ///
 /// Candidate graphs are indexed and drawn from per-index RNG streams
-/// (see `candidate_rng`), evaluated in waves — concurrently with the
-/// `parallel` feature, serially without — and consumed in index order
-/// until the configured number of feasible graphs is reached. Both modes
-/// produce the same report for the same config.
+/// (see `candidate_rng`), evaluated in waves on `UBIQOS_THREADS`
+/// workers, and consumed in index order until the configured number of
+/// feasible graphs is reached. Every worker count produces the same
+/// report for the same config.
 pub fn run_table1(cfg: &Table1Config) -> Table1Report {
     let env = table1_environment();
 
@@ -205,14 +205,8 @@ pub fn run_table1(cfg: &Table1Config) -> Table1Report {
         let indices: Vec<u64> = (next_index..next_index + WAVE as u64).collect();
         next_index += WAVE as u64;
 
-        #[cfg(feature = "parallel")]
         let outcomes =
             ubiqos_parallel::par_map(&indices, |_, &i| evaluate_candidate(cfg, &env, &names, i));
-        #[cfg(not(feature = "parallel"))]
-        let outcomes: Vec<CandidateOutcome> = indices
-            .iter()
-            .map(|&i| evaluate_candidate(cfg, &env, &names, i))
-            .collect();
 
         for outcome in outcomes {
             if evaluated == cfg.graphs {
