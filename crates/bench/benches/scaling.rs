@@ -10,15 +10,18 @@
 //!   success comparison) and what they cost in time;
 //! * the DES queue alone: filling and draining a campaign-sized
 //!   arrival/departure schedule, the fixed cost every campaign event
-//!   pays before any configuration work.
+//!   pays before any configuration work;
+//! * a configure whose composition is a cache hit: the key, the lookup
+//!   and the placement, the per-request cost every admission pays.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use ubiqos_composition::{oc, CorrectionPolicy, TranscoderCatalog};
 use ubiqos_distribution::{GreedyHeuristic, OsdProblem, ServiceDistributor};
-use ubiqos_graph::{ComponentRole, ServiceComponent, ServiceGraph};
+use ubiqos_graph::{ComponentRole, DeviceId, ServiceComponent, ServiceGraph};
 use ubiqos_model::{QosDimension as D, QosValue, QosVector, Weights};
+use ubiqos_runtime::faults::{app_template, build_space};
 use ubiqos_sim::{EventQueue, GraphGenConfig, WorkloadConfig};
 
 /// Builds a consistent-but-adjustable chain-of-width-2 graph of `n`
@@ -292,12 +295,45 @@ fn bench_des(c: &mut Criterion) {
     group.finish();
 }
 
+/// `speculate_configure` on a warm eight-device space: both campaign
+/// templates from each of the eight clients, every composition already
+/// cached, so one iteration is sixteen cache hits (key, lookup, shared
+/// composition) each followed by a greedy placement.
+fn bench_configure_cache_hit(c: &mut Criterion) {
+    let server = build_space(8);
+    let qos = QosVector::new();
+    let requests: Vec<_> = (0..2)
+        .flat_map(|t| (0..8).map(move |d| (app_template(t).1, DeviceId::from_index(d))))
+        .collect();
+    let configure_all = || {
+        requests
+            .iter()
+            .filter(|(graph, client)| {
+                server
+                    .speculate_configure(graph, &qos, *client, None)
+                    .is_ok()
+            })
+            .count()
+    };
+    let placed = configure_all();
+    let warm = server.config_cache_stats();
+    assert_eq!(
+        (placed as u64, warm.misses),
+        (16, 16),
+        "every request composes and is cached once"
+    );
+    let mut group = c.benchmark_group("configure");
+    group.bench_function("cache_hit", |b| b.iter(configure_all));
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_oc_scaling,
     bench_heuristic_scaling,
     bench_ablations,
     bench_order_ablation,
-    bench_des
+    bench_des,
+    bench_configure_cache_hit
 );
 criterion_main!(benches);

@@ -2,6 +2,7 @@
 
 use crate::error::ConfigureError;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use ubiqos_composition::{
     ComposeRequest, ComposedApplication, CorrectionPolicy, ExpansionLibrary, ServiceComposer,
     TranscoderCatalog,
@@ -29,10 +30,13 @@ pub struct ConfigureRequest<'a> {
 }
 
 /// A complete configuration: the composed graph plus its placement.
+///
+/// The composed application is immutable once built and shared by
+/// reference: cloning a configuration copies the cut, not the graph.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Configuration {
     /// Output of the composition tier.
-    pub app: ComposedApplication,
+    pub app: Arc<ComposedApplication>,
     /// Output of the distribution tier: the k-cut placement.
     pub cut: Cut,
     /// The placement's cost aggregation (Definition 3.5).
@@ -182,7 +186,8 @@ impl<'r> ServiceConfigurator<'r> {
         }
     }
 
-    /// Runs the distribution tier on an already composed application.
+    /// Runs the distribution tier on an already composed application,
+    /// owned or shared; a shared one is placed without being copied.
     ///
     /// # Errors
     ///
@@ -190,9 +195,10 @@ impl<'r> ServiceConfigurator<'r> {
     /// found.
     pub fn distribute_only(
         &mut self,
-        app: ComposedApplication,
+        app: impl Into<Arc<ComposedApplication>>,
         env: &Environment,
     ) -> Result<Configuration, ConfigureError> {
+        let app = app.into();
         let problem = OsdProblem::new(&app.graph, env, &self.weights);
         let cut = self.distributor.distribute(&problem)?;
         let cost = problem.cost(&cut);

@@ -26,40 +26,121 @@
 //!
 //! The distribution tier is never cached: placement depends on the
 //! residual environment, which changes with every admission and refund.
+//!
+//! A request's abstract graph is the bulk of its key, and it is
+//! immutable: a [`SharedGraph`] fingerprints it once, when it is
+//! wrapped, so a configure renders only the small rest of its key. The
+//! cached compositions are shared too — a hit hands out an
+//! `Arc<ComposedApplication>`, a reference-count increment, not a copy.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::{self, Write as _};
+use std::ops::Deref;
+use std::sync::Arc;
 use ubiqos_composition::ComposedApplication;
-use ubiqos_discovery::ServiceRegistry;
+use ubiqos_discovery::{DomainId, ServiceRegistry};
+use ubiqos_graph::{AbstractServiceGraph, DeviceId};
+use ubiqos_model::QosVector;
 
 /// Cached compositions kept before stale entries are evicted.
 const CACHE_CAP: usize = 256;
 
-/// A 128-bit fingerprint of a request's cache identity, computed by
-/// streaming the request's deterministic `Debug` rendering through two
-/// independent FNV-1a accumulators — no intermediate `String` is ever
-/// allocated, which keeps the hit path free of per-request heap work.
+/// A request's cache identity: a 128-bit fingerprint of its abstract
+/// graph and user QoS, and the client, domain and ladder factor as
+/// they are. The fingerprint streams the two values' deterministic
+/// `Debug` renderings through two independent FNV-1a accumulators — no
+/// intermediate `String` is ever allocated — and the graph's part was
+/// streamed once, when the graph was shared, so a configure renders
+/// only the QoS.
 ///
+/// The key is content-based, never address-based: an `Arc`'s address
+/// can be reused after a drop, the rendering of a graph cannot change.
 /// Two independent 64-bit streams make an accidental collision across a
 /// 256-entry cache astronomically unlikely; debug builds additionally
 /// cross-check every hit against a fresh recomposition, so a collision
 /// cannot pass unnoticed there.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct CacheKey(u64, u64);
+pub struct CacheKey {
+    content: (u64, u64),
+    domain: Option<DomainId>,
+    client: DeviceId,
+    demand_factor_bits: u64,
+}
 
 impl CacheKey {
-    /// Fingerprints preformatted arguments, e.g.
-    /// `CacheKey::of(format_args!("{:?}|{}", graph, device))`.
-    pub fn of(args: fmt::Arguments<'_>) -> Self {
-        let mut sink = FnvSink::default();
+    /// The key of composing `graph` for `user_qos` at `client` in
+    /// `domain`, demand-scaled by `demand_factor`: everything
+    /// composition reads besides the registry (the client's device
+    /// properties are covered by its index; they are fixed at
+    /// construction).
+    pub fn of(
+        graph: &SharedGraph,
+        user_qos: &QosVector,
+        domain: Option<DomainId>,
+        client: DeviceId,
+        demand_factor: f64,
+    ) -> Self {
+        let mut sink = graph.fingerprint;
         // Writing into the sink is infallible.
-        let _ = sink.write_fmt(args);
-        CacheKey(sink.a, sink.b)
+        let _ = write!(sink, "|{user_qos:?}");
+        CacheKey {
+            content: (sink.a, sink.b),
+            domain,
+            client,
+            demand_factor_bits: demand_factor.to_bits(),
+        }
+    }
+}
+
+/// An abstract application graph shared by reference, together with
+/// the FNV state its `Debug` rendering leaves: the graph part of every
+/// [`CacheKey`] it is configured under, computed once when the graph is
+/// wrapped. Sessions, journal records and handoffs hold the graph
+/// through this; cloning it is a reference-count increment.
+///
+/// It renders in `Debug` exactly as the graph it wraps, so every
+/// fingerprint and digest that prints a graph is unchanged by it.
+#[derive(Clone)]
+pub struct SharedGraph {
+    graph: Arc<AbstractServiceGraph>,
+    fingerprint: FnvSink,
+}
+
+impl SharedGraph {
+    /// Wraps `graph`, rendering it once for its fingerprint.
+    pub fn new(graph: AbstractServiceGraph) -> Self {
+        let mut fingerprint = FnvSink::default();
+        let _ = write!(fingerprint, "{graph:?}");
+        SharedGraph {
+            graph: Arc::new(graph),
+            fingerprint,
+        }
+    }
+}
+
+impl From<AbstractServiceGraph> for SharedGraph {
+    fn from(graph: AbstractServiceGraph) -> Self {
+        SharedGraph::new(graph)
+    }
+}
+
+impl Deref for SharedGraph {
+    type Target = AbstractServiceGraph;
+
+    fn deref(&self) -> &AbstractServiceGraph {
+        &self.graph
+    }
+}
+
+impl fmt::Debug for SharedGraph {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&*self.graph, f)
     }
 }
 
 /// `fmt::Write` adapter feeding two FNV-1a streams with distinct offset
 /// bases (the second basis is the standard one bit-inverted).
+#[derive(Clone, Copy)]
 struct FnvSink {
     a: u64,
     b: u64,
@@ -101,8 +182,8 @@ pub struct CompositionCacheStats {
 #[derive(Debug, Clone)]
 struct Entry {
     /// The composed (and demand-scaled, per the key's rung factor)
-    /// application.
-    app: ComposedApplication,
+    /// application, shared with every configuration built from it.
+    app: Arc<ComposedApplication>,
     /// Service types this composition's discovery depended on.
     dep_types: BTreeSet<String>,
     /// Registry epoch the entry was filled (or last revalidated) at.
@@ -155,12 +236,12 @@ impl CompositionCache {
 
     /// Looks `key` up against the registry's current epoch, revalidating
     /// an older entry through the changed-type changelog when possible.
-    /// Returns a clone of the cached application on a (re)validated hit.
+    /// Returns the shared cached application on a (re)validated hit.
     pub fn lookup(
         &mut self,
         key: CacheKey,
         registry: &ServiceRegistry,
-    ) -> Option<ComposedApplication> {
+    ) -> Option<Arc<ComposedApplication>> {
         if !self.enabled {
             return None;
         }
@@ -186,7 +267,7 @@ impl CompositionCache {
         };
         if valid {
             self.stats.hits += 1;
-            Some(self.entries[&key].app.clone())
+            Some(Arc::clone(&self.entries[&key].app))
         } else {
             self.entries.remove(&key);
             self.stats.misses += 1;
@@ -199,7 +280,7 @@ impl CompositionCache {
     pub fn insert(
         &mut self,
         key: CacheKey,
-        app: ComposedApplication,
+        app: Arc<ComposedApplication>,
         dep_types: BTreeSet<String>,
         epoch: u64,
     ) {
@@ -229,8 +310,7 @@ mod tests {
     use super::*;
     use ubiqos_composition::{ComposeRequest, ServiceComposer};
     use ubiqos_discovery::{DeviceProperties, ServiceDescriptor};
-    use ubiqos_graph::{AbstractComponentSpec, AbstractServiceGraph, DeviceId, ServiceComponent};
-    use ubiqos_model::QosVector;
+    use ubiqos_graph::{AbstractComponentSpec, ServiceComponent};
 
     fn registry() -> ServiceRegistry {
         let mut r = ServiceRegistry::new();
@@ -242,18 +322,57 @@ mod tests {
         r
     }
 
-    fn compose(r: &ServiceRegistry) -> ComposedApplication {
+    fn graph() -> AbstractServiceGraph {
         let mut g = AbstractServiceGraph::new();
         g.add_spec(AbstractComponentSpec::new("audio-server"));
-        ServiceComposer::new(r)
+        g
+    }
+
+    fn compose(r: &ServiceRegistry) -> Arc<ComposedApplication> {
+        let app = ServiceComposer::new(r)
             .compose(&ComposeRequest {
-                abstract_graph: &g,
+                abstract_graph: &graph(),
                 user_qos: QosVector::new(),
                 client_device: DeviceId::from_index(0),
                 client_props: DeviceProperties::unconstrained(),
                 domain: None,
             })
-            .unwrap()
+            .unwrap();
+        Arc::new(app)
+    }
+
+    fn key(client: u32) -> CacheKey {
+        let graph = SharedGraph::new(graph());
+        CacheKey::of(&graph, &QosVector::new(), None, DeviceId(client), 1.0)
+    }
+
+    #[test]
+    fn keys_follow_content_not_addresses() {
+        let shared = SharedGraph::new(graph());
+        assert_eq!(format!("{shared:?}"), format!("{:?}", graph()));
+        let qos = QosVector::new();
+        let of = |g: &SharedGraph, qos: &QosVector, client: u32, factor: f64| {
+            CacheKey::of(g, qos, None, DeviceId(client), factor)
+        };
+        // An equal graph shared separately keys the same; the key
+        // resumes the graph's stream with the QoS rendering.
+        let twin = SharedGraph::new(graph());
+        assert_eq!(of(&shared, &qos, 3, 1.0), of(&twin, &qos, 3, 1.0));
+        let mut whole = FnvSink::default();
+        let _ = write!(whole, "{:?}|{qos:?}", graph());
+        assert_eq!(of(&shared, &qos, 3, 1.0).content, (whole.a, whole.b));
+        // Every other input separates keys.
+        let mut other = graph();
+        other.add_spec(AbstractComponentSpec::new("audio-player"));
+        let weak = QosVector::new().with(
+            ubiqos_model::QosDimension::FrameRate,
+            ubiqos_model::QosValue::exact(10.0),
+        );
+        let base = of(&shared, &qos, 3, 1.0);
+        assert_ne!(base, of(&SharedGraph::new(other), &qos, 3, 1.0));
+        assert_ne!(base, of(&shared, &weak, 3, 1.0));
+        assert_ne!(base, of(&shared, &qos, 4, 1.0));
+        assert_ne!(base, of(&shared, &qos, 3, 0.5));
     }
 
     #[test]
@@ -262,8 +381,8 @@ mod tests {
         let app = compose(&r);
         let mut cache = CompositionCache::new();
         let deps = BTreeSet::from(["audio-server".to_owned()]);
-        let k = CacheKey::of(format_args!("k"));
-        cache.insert(k, app.clone(), deps, r.epoch());
+        let k = key(0);
+        cache.insert(k, Arc::clone(&app), deps, r.epoch());
         assert_eq!(cache.lookup(k, &r), Some(app.clone()));
 
         // An unrelated type churns: the entry revalidates.
@@ -292,7 +411,7 @@ mod tests {
         let app = compose(&r);
         let mut cache = CompositionCache::new();
         cache.set_enabled(false);
-        let k = CacheKey::of(format_args!("k"));
+        let k = key(0);
         cache.insert(
             k,
             app,

@@ -3,7 +3,7 @@
 //! implemented as part of the domain server").
 
 use crate::checkpoint::{Checkpoint, HandoffPlan};
-use crate::config_cache::{CacheKey, CompositionCache, CompositionCacheStats};
+use crate::config_cache::{CacheKey, CompositionCache, CompositionCacheStats, SharedGraph};
 use crate::cost_model::{CostModel, LinkKind};
 use crate::ledger::{self, ChargeLedger, ChargeSummary};
 use crate::overhead::ConfigOverhead;
@@ -12,16 +12,20 @@ use crate::recovery::{Degradation, RecoveryReport};
 use crate::repository::ComponentRepository;
 use crate::retry_queue::{ParkedSession, RetryPolicy, RetryQueue};
 use crate::streaming::{delivered_qos, DeliveredQos};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
-use ubiqos::{Configuration, ConfigureError, ConfigureRequest, ServiceConfigurator};
-use ubiqos_composition::{ComposedApplication, DegradationLadder, OcReport};
+use ubiqos::{Configuration, ConfigureError};
+use ubiqos_composition::{
+    ComposeRequest, ComposedApplication, DegradationLadder, OcReport, ServiceComposer,
+};
 use ubiqos_discovery::{DeviceProperties, DomainId, ServiceDescriptor, ServiceRegistry};
 use ubiqos_distribution::{
-    Environment, ExhaustiveOptimal, OsdProblem, PortfolioRoute, ServiceDistributor, SolverPortfolio,
+    Environment, ExhaustiveOptimal, GreedyHeuristic, OsdProblem, PortfolioRoute,
+    ServiceDistributor, SolverPortfolio,
 };
 use ubiqos_graph::{AbstractServiceGraph, ComponentId, Cut, DeviceId, ServiceGraph};
 use ubiqos_model::{QosVector, Weights};
@@ -49,12 +53,16 @@ impl fmt::Display for SessionId {
 }
 
 /// One running application session.
+///
+/// Its name, abstract graph and composed application are immutable and
+/// shared by reference with the journal and with checkpoints, so
+/// cloning a session copies none of them.
 #[derive(Clone)]
 pub struct Session {
     /// Human-readable application name.
-    pub name: String,
+    pub name: Arc<str>,
     /// The abstract application description (kept for recomposition).
-    pub abstract_graph: AbstractServiceGraph,
+    pub abstract_graph: SharedGraph,
     /// The user's QoS requirements.
     pub user_qos: QosVector,
     /// The user's current portal device.
@@ -70,8 +78,10 @@ pub struct Session {
     /// at: `1.0` is full quality, lower values mean the session currently
     /// runs degraded (weakened QoS, scaled-down stream throughput).
     pub degrade_factor: f64,
-    /// Overhead of every configuration action so far, labeled.
-    pub overhead_log: Vec<(String, ConfigOverhead)>,
+    /// Overhead of every configuration action so far, labeled. A fixed
+    /// action's label (`"start"`, `"re-admit from park"`) is static;
+    /// one that names devices or a location is rendered per action.
+    pub overhead_log: Vec<(Cow<'static, str>, ConfigOverhead)>,
     /// What `configuration` charges and its per-session verdicts,
     /// derived by the one configuration write, `DomainServer::install`
     /// (see [`crate::ledger`]).
@@ -116,8 +126,8 @@ impl Session {
     /// installs its first configuration into it; a parked arrival waits
     /// in the retry queue as it is.
     fn unplaced(
-        name: String,
-        abstract_graph: AbstractServiceGraph,
+        name: Arc<str>,
+        abstract_graph: SharedGraph,
         user_qos: QosVector,
         client_device: DeviceId,
         domain: Option<DomainId>,
@@ -125,11 +135,11 @@ impl Session {
         let graph = ServiceGraph::new();
         let cut = Cut::from_assignment(&graph, Vec::new(), 1).expect("empty cut is consistent");
         let configuration = Configuration {
-            app: ComposedApplication {
+            app: Arc::new(ComposedApplication {
                 graph,
                 report: OcReport::default(),
                 instances: Vec::new(),
-            },
+            }),
             cut,
             cost: 0.0,
         };
@@ -259,11 +269,16 @@ pub struct PlacementTotals {
 /// placement, affected sessions walk the [`DegradationLadder`] before
 /// being parked in the [`RetryQueue`], and only retry-budget exhaustion
 /// drops a session.
+///
+/// The rarely written tables — registry, pristine capacities, component
+/// repository, device properties and link kinds — sit behind `Arc`: a
+/// checkpoint shares them, and a write goes through `Arc::make_mut`,
+/// which copies a table only while a checkpoint still shares it.
 pub struct DomainServer {
-    registry: ServiceRegistry,
+    registry: Arc<ServiceRegistry>,
     /// Pristine capacities as built, before any crash/fluctuation: the
     /// reference state crashed devices recover to.
-    pristine: Environment,
+    pristine: Arc<Environment>,
     /// Full current capacities (what the devices could offer if idle).
     capacity: Environment,
     /// Residual environment: capacity minus every live session's charge.
@@ -273,10 +288,10 @@ pub struct DomainServer {
     /// [`DomainServer::check_ledger`] checks `env` against.
     ledger: ChargeLedger,
     /// Link kind per device (indexes match the environment).
-    links: Vec<LinkKind>,
+    links: Arc<[LinkKind]>,
     /// Device properties per device, for client-side discovery filtering.
-    device_props: Vec<DeviceProperties>,
-    repository: ComponentRepository,
+    device_props: Arc<[DeviceProperties]>,
+    repository: Arc<ComponentRepository>,
     costs: CostModel,
     sessions: BTreeMap<u64, Session>,
     /// Link bandwidths degraded independently of any crash, keyed by the
@@ -357,14 +372,14 @@ impl DomainServer {
         );
         let dim = env.device(0).map_or(0, |dev| dev.availability().dim());
         DomainServer {
-            registry: ServiceRegistry::new(),
-            pristine: env.clone(),
+            registry: Arc::new(ServiceRegistry::new()),
+            pristine: Arc::new(env.clone()),
             capacity: env.clone(),
             ledger: ChargeLedger::new(env.device_count(), dim),
             env,
-            links,
-            device_props,
-            repository: ComponentRepository::new(),
+            links: links.into(),
+            device_props: device_props.into(),
+            repository: Arc::new(ComponentRepository::new()),
             costs: CostModel::default(),
             sessions: BTreeMap::new(),
             link_overrides: BTreeMap::new(),
@@ -391,25 +406,36 @@ impl DomainServer {
     /// durability layer's snapshot checkpoints (`runtime::durability`).
     ///
     /// Everything a crash-recovered server needs to behave identically
-    /// is cloned: registry (with leases), environments, sessions, the
-    /// retry queue, degradation/retry/recovery policy, link overrides,
-    /// the crashed-host service stash, detector belief sets, the
-    /// session-id/clock counters, and the derived charge ledger (each
-    /// session's charge summary travels with its clone). Soft state is
-    /// treated as volatile — the composition cache restarts cold (cache-on ≡ cache-off is
-    /// pinned for every observable output); solver state and profiling
-    /// counters are carried over so bench accounting survives a
-    /// checkpoint unchanged.
+    /// is carried over: registry (with leases), environments, sessions,
+    /// the retry queue, degradation/retry/recovery policy, link
+    /// overrides, the crashed-host service stash, detector belief sets,
+    /// the session-id/clock counters, and the derived charge ledger
+    /// (each session's charge summary travels with its clone).
+    ///
+    /// What is immutable or rarely written is shared, not copied: each
+    /// session's name, abstract graph and composed application, and the
+    /// registry, pristine capacities, component repository, device
+    /// properties and link kinds. The copy and the original write
+    /// those tables through `Arc::make_mut`, so neither sees the
+    /// other's writes. Per-session placements (cuts), overhead logs and
+    /// charge summaries, the residual and capacity environments, the
+    /// ledger and the retry queue are copied.
+    ///
+    /// Soft state is treated as volatile — the composition cache
+    /// restarts cold (cache-on ≡ cache-off is pinned for every
+    /// observable output); solver state and profiling counters are
+    /// carried over so bench accounting survives a checkpoint
+    /// unchanged.
     pub fn clone_for_checkpoint(&self) -> DomainServer {
         DomainServer {
-            registry: self.registry.clone(),
-            pristine: self.pristine.clone(),
+            registry: Arc::clone(&self.registry),
+            pristine: Arc::clone(&self.pristine),
             capacity: self.capacity.clone(),
             env: self.env.clone(),
             ledger: self.ledger.clone(),
-            links: self.links.clone(),
-            device_props: self.device_props.clone(),
-            repository: self.repository.clone(),
+            links: Arc::clone(&self.links),
+            device_props: Arc::clone(&self.device_props),
+            repository: Arc::clone(&self.repository),
             costs: self.costs.clone(),
             sessions: self.sessions.clone(),
             link_overrides: self.link_overrides.clone(),
@@ -516,7 +542,7 @@ impl DomainServer {
             .lock()
             .expect("config cache lock")
             .set_enabled(enabled);
-        self.registry.set_query_memo(enabled);
+        Arc::make_mut(&mut self.registry).set_query_memo(enabled);
     }
 
     /// Composition-cache counters.
@@ -607,7 +633,7 @@ impl DomainServer {
     /// Mutable access to the service registry (device/service arrival and
     /// departure).
     pub fn registry_mut(&mut self) -> &mut ServiceRegistry {
-        &mut self.registry
+        Arc::make_mut(&mut self.registry)
     }
 
     /// The registry.
@@ -617,7 +643,7 @@ impl DomainServer {
 
     /// Mutable access to the component repository (pre-installation).
     pub fn repository_mut(&mut self) -> &mut ComponentRepository {
-        &mut self.repository
+        Arc::make_mut(&mut self.repository)
     }
 
     /// The *residual* environment: current capacities minus every live
@@ -690,7 +716,8 @@ impl DomainServer {
         client_device: DeviceId,
         domain: Option<DomainId>,
     ) -> Result<Configuration, ConfigureError> {
-        self.configure(abstract_graph, user_qos, client_device, domain)
+        let graph = SharedGraph::new(abstract_graph.clone());
+        self.configure(&graph, user_qos, client_device, domain)
             .map(|(configuration, _)| configuration)
     }
 
@@ -705,7 +732,8 @@ impl DomainServer {
 
     /// Starts an application session on behalf of a user at
     /// `client_device`: composes, distributes, downloads missing
-    /// component code, and initializes.
+    /// component code, and initializes. A plain graph is wrapped into a
+    /// [`SharedGraph`] once, here; a shared one is taken as it is.
     ///
     /// # Errors
     ///
@@ -713,8 +741,8 @@ impl DomainServer {
     /// created on failure.
     pub fn start_session(
         &mut self,
-        name: impl Into<String>,
-        abstract_graph: AbstractServiceGraph,
+        name: impl Into<Arc<str>>,
+        abstract_graph: impl Into<SharedGraph>,
         user_qos: QosVector,
         client_device: DeviceId,
     ) -> Result<SessionId, ConfigureError> {
@@ -729,17 +757,18 @@ impl DomainServer {
     /// Propagates [`ConfigureError`] from either tier.
     pub fn start_session_in_domain(
         &mut self,
-        name: impl Into<String>,
-        abstract_graph: AbstractServiceGraph,
+        name: impl Into<Arc<str>>,
+        abstract_graph: impl Into<SharedGraph>,
         user_qos: QosVector,
         client_device: DeviceId,
         domain: Option<DomainId>,
     ) -> Result<SessionId, ConfigureError> {
+        let abstract_graph = abstract_graph.into();
         let speculated =
             self.speculate_configure(&abstract_graph, &user_qos, client_device, domain);
         self.open_session(
             move || name.into(),
-            || abstract_graph,
+            &abstract_graph,
             user_qos,
             client_device,
             domain,
@@ -771,8 +800,8 @@ impl DomainServer {
     /// and [`DomainServer::process_retries`].
     pub fn park_arrival(
         &mut self,
-        name: impl Into<String>,
-        abstract_graph: AbstractServiceGraph,
+        name: impl Into<Arc<str>>,
+        abstract_graph: impl Into<SharedGraph>,
         user_qos: QosVector,
         client_device: DeviceId,
         domain: Option<DomainId>,
@@ -780,8 +809,13 @@ impl DomainServer {
     ) -> SessionId {
         let id = SessionId(self.next_session);
         self.next_session += 1;
-        let session =
-            Session::unplaced(name.into(), abstract_graph, user_qos, client_device, domain);
+        let session = Session::unplaced(
+            name.into(),
+            abstract_graph.into(),
+            user_qos,
+            client_device,
+            domain,
+        );
         self.parked
             .park(id.0, session, error, self.now_ms, &self.retry_policy);
         id
@@ -806,7 +840,7 @@ impl DomainServer {
             .get(&id.0)
             .expect("switch_device on a live session");
         let label = format!("switch {} -> {new_device}", s.client_device);
-        self.relocate(id, new_device, s.domain, label)
+        self.relocate(id, new_device, s.domain, label.into())
     }
 
     /// Handles user mobility: the user (and their portal) moved to a new
@@ -829,7 +863,8 @@ impl DomainServer {
                 .domain(d)
                 .map_or_else(|| d.to_string(), |dom| dom.name.clone())
         });
-        self.relocate(id, new_device, new_domain, format!("move to {location}"))
+        let label = format!("move to {location}");
+        self.relocate(id, new_device, new_domain, label.into())
     }
 
     /// Re-places live session `id` for the client `new_device` in
@@ -843,7 +878,7 @@ impl DomainServer {
         id: SessionId,
         new_device: DeviceId,
         new_domain: Option<DomainId>,
-        label: String,
+        label: Cow<'static, str>,
     ) -> Result<HandoffPlan, ConfigureError> {
         let mut session = self
             .sessions
@@ -930,7 +965,7 @@ impl DomainServer {
                 self.suspected.insert(d);
                 // Revoke so the same expired lease is never acted on
                 // twice by a later anti-entropy sweep.
-                self.registry.revoke_lease(d);
+                Arc::make_mut(&mut self.registry).revoke_lease(d);
             }
             if let Some(dev) = self.capacity.device_mut(d) {
                 let dim = dev.availability().dim();
@@ -949,8 +984,9 @@ impl DomainServer {
                 .into_iter()
                 .map(|desc| desc.instance_id.clone())
                 .collect();
+            let registry = Arc::make_mut(&mut self.registry);
             for instance_id in hosted {
-                if let Some(desc) = self.registry.unregister(&instance_id) {
+                if let Some(desc) = registry.unregister(&instance_id) {
                     self.hosted_stash.entry(d).or_default().push(desc);
                 }
             }
@@ -1011,8 +1047,9 @@ impl DomainServer {
             }
         }
         if let Some(stash) = self.hosted_stash.remove(&d) {
+            let registry = Arc::make_mut(&mut self.registry);
             for desc in stash {
-                self.registry.register(desc);
+                registry.register(desc);
             }
         }
         self.recovery_pass(label, &delta)
@@ -1028,7 +1065,7 @@ impl DomainServer {
     /// heartbeats do not invalidate composition caches.
     pub fn heartbeat(&mut self, device: DeviceId, grace_ms: f64) -> Option<RecoveryReport> {
         let expiry = (self.now_ms + grace_ms) as u64;
-        self.registry.renew_lease(device.index(), expiry);
+        Arc::make_mut(&mut self.registry).renew_lease(device.index(), expiry);
         if self.suspected.contains(&device.index()) {
             Some(self.reinstate_device(device))
         } else {
@@ -1212,7 +1249,7 @@ impl DomainServer {
                         session,
                         placed,
                         Activation::Handoff,
-                        label.to_owned(),
+                        label.to_owned().into(),
                     );
                     if factor >= 1.0 {
                         report.recovered.push(SessionId(raw_id));
@@ -1252,8 +1289,16 @@ impl DomainServer {
             .ladder
             .steps(&session.user_qos, &session.abstract_graph)
         {
+            // Full quality scales every throughput by exactly 1.0, which
+            // leaves the graph as it is: the session's own shared graph
+            // (and its fingerprint) stands in for the rung's copy.
+            let graph = if step.factor == 1.0 {
+                session.abstract_graph.clone()
+            } else {
+                SharedGraph::new(step.abstract_graph)
+            };
             match self.configure_scaled(
-                &step.abstract_graph,
+                &graph,
                 &step.user_qos,
                 session.client_device,
                 session.domain,
@@ -1317,7 +1362,7 @@ impl DomainServer {
                 Ok((placed, factor)) => {
                     let mut session = parked.session;
                     session.degrade_factor = factor;
-                    let label = "re-admit from park".to_owned();
+                    let label = Cow::Borrowed("re-admit from park");
                     self.install(raw_id, session, placed, Activation::Handoff, label);
                     report.readmitted.push(SessionId(raw_id));
                 }
@@ -1348,7 +1393,7 @@ impl DomainServer {
     /// distribution phases.
     fn configure(
         &self,
-        abstract_graph: &AbstractServiceGraph,
+        abstract_graph: &SharedGraph,
         user_qos: &QosVector,
         client_device: DeviceId,
         domain: Option<DomainId>,
@@ -1379,7 +1424,7 @@ impl DomainServer {
     /// Propagates [`ConfigureError`] from either tier.
     pub fn speculate_configure(
         &self,
-        abstract_graph: &AbstractServiceGraph,
+        abstract_graph: &SharedGraph,
         user_qos: &QosVector,
         client_device: DeviceId,
         domain: Option<DomainId>,
@@ -1413,14 +1458,14 @@ impl DomainServer {
     /// Re-raises the speculated [`ConfigureError`]; the session is not
     /// created on failure.
     ///
-    /// The name and the abstract graph are taken as thunks: adoption
-    /// knows the admission outcome before a session record exists, so
-    /// denied arrivals — the bulk of an overload campaign — never pay
-    /// for building either.
+    /// The name is taken as a thunk: adoption knows the admission
+    /// outcome before a session record exists, so denied arrivals — the
+    /// bulk of an overload campaign — never format one. The graph is
+    /// shared; a started session holds another reference to it.
     pub fn admit_speculated(
         &mut self,
-        name: impl FnOnce() -> String,
-        abstract_graph: impl FnOnce() -> AbstractServiceGraph,
+        name: impl FnOnce() -> Arc<str>,
+        abstract_graph: &SharedGraph,
         user_qos: QosVector,
         client_device: DeviceId,
         speculated: Result<(Configuration, ConfigOverhead), ConfigureError>,
@@ -1441,8 +1486,8 @@ impl DomainServer {
     /// session, priced as an initialization and logged as `start`.
     fn open_session(
         &mut self,
-        name: impl FnOnce() -> String,
-        abstract_graph: impl FnOnce() -> AbstractServiceGraph,
+        name: impl FnOnce() -> Arc<str>,
+        abstract_graph: &SharedGraph,
         user_qos: QosVector,
         client_device: DeviceId,
         domain: Option<DomainId>,
@@ -1455,13 +1500,19 @@ impl DomainServer {
         })?;
         let id = SessionId(self.next_session);
         self.next_session += 1;
-        let session = Session::unplaced(name(), abstract_graph(), user_qos, client_device, domain);
+        let session = Session::unplaced(
+            name(),
+            abstract_graph.clone(),
+            user_qos,
+            client_device,
+            domain,
+        );
         self.install(
             id.0,
             session,
             placed,
             Activation::Initialize,
-            "start".into(),
+            Cow::Borrowed("start"),
         );
         Ok(id)
     }
@@ -1479,7 +1530,7 @@ impl DomainServer {
     #[allow(clippy::too_many_arguments)]
     fn configure_scaled(
         &self,
-        abstract_graph: &AbstractServiceGraph,
+        abstract_graph: &SharedGraph,
         user_qos: &QosVector,
         client_device: DeviceId,
         domain: Option<DomainId>,
@@ -1489,23 +1540,20 @@ impl DomainServer {
     ) -> Result<(Configuration, ConfigOverhead), ConfigureError> {
         let wall = Instant::now();
         let discover_before = self.registry.discovery_stats().wall_nanos;
-        let mut configurator = ServiceConfigurator::new(&self.registry);
-        let request = ConfigureRequest {
+        let composed = self.compose_cached(
             abstract_graph,
-            user_qos: user_qos.clone(),
+            user_qos,
             client_device,
-            client_props: self.device_props[client_device.index()],
             domain,
-            env: &self.env,
-        };
-        let composed = self.compose_cached(&configurator, &request, demand_factor);
+            demand_factor,
+        );
         let compose_wall_ms = wall.elapsed().as_secs_f64() * 1e3;
         let discover_ms =
             (self.registry.discovery_stats().wall_nanos - discover_before) as f64 / 1e6;
 
         let place = Instant::now();
         let placed = composed.and_then(|app| match self.placement {
-            PlacementStrategy::Heuristic => configurator.distribute_only(app, &self.env),
+            PlacementStrategy::Heuristic => self.place_on(app, &mut GreedyHeuristic::paper()),
             PlacementStrategy::Optimal { warm_start } => {
                 self.place_optimal(app, if warm_start { warm } else { None })
             }
@@ -1557,26 +1605,24 @@ impl DomainServer {
     /// Composes the request's application through the epoch-validated
     /// [`CompositionCache`], scaling resources by `demand_factor` before
     /// the entry is stored (the factor is part of the key, so each ladder
-    /// rung caches its own scaled graph).
+    /// rung caches its own scaled graph). `graph` is the request's
+    /// abstract graph, whose fingerprint opens the key.
     fn compose_cached(
         &self,
-        configurator: &ServiceConfigurator<'_>,
-        request: &ConfigureRequest<'_>,
+        graph: &SharedGraph,
+        user_qos: &QosVector,
+        client_device: DeviceId,
+        domain: Option<DomainId>,
         demand_factor: f64,
-    ) -> Result<ComposedApplication, ConfigureError> {
-        // Everything composition reads besides the registry: the Debug
-        // renderings are deterministic, and the client's device properties
-        // are covered by its index (they are fixed at construction). The
-        // rendering streams straight into the fingerprint — no per-request
-        // key string is allocated.
-        let key = CacheKey::of(format_args!(
-            "{:?}|{:?}|{:?}|{}|{:016x}",
-            request.abstract_graph,
-            request.user_qos,
-            request.domain,
-            request.client_device.index(),
-            demand_factor.to_bits()
-        ));
+    ) -> Result<Arc<ComposedApplication>, ConfigureError> {
+        let key = CacheKey::of(graph, user_qos, domain, client_device, demand_factor);
+        let request = || ComposeRequest {
+            abstract_graph: graph,
+            user_qos: user_qos.clone(),
+            client_device,
+            client_props: self.device_props[client_device.index()],
+            domain,
+        };
         {
             let mut cache = self.config_cache.lock().expect("config cache lock");
             if let Some(app) = cache.lookup(key, &self.registry) {
@@ -1584,12 +1630,9 @@ impl DomainServer {
                 {
                     // Prove the hit byte-identical to a fresh composition
                     // (the epoch-revalidation soundness argument, checked).
-                    let mut fresh = configurator.compose_only(request)?;
-                    if demand_factor < 1.0 {
-                        fresh.scale_resources(demand_factor);
-                    }
+                    let fresh = self.compose_fresh(&request(), demand_factor)?;
                     assert_eq!(
-                        app, fresh,
+                        *app, fresh,
                         "cached composition diverged from fresh recomposition"
                     );
                 }
@@ -1597,20 +1640,47 @@ impl DomainServer {
             }
         }
         let epoch = self.registry.epoch();
-        let mut app = configurator.compose_only(request)?;
-        if demand_factor < 1.0 {
-            app.scale_resources(demand_factor);
-        }
+        let app = Arc::new(self.compose_fresh(&request(), demand_factor)?);
         let mut cache = self.config_cache.lock().expect("config cache lock");
         if cache.enabled() {
-            let dep_types: BTreeSet<String> = request
-                .abstract_graph
+            let dep_types: BTreeSet<String> = graph
                 .specs()
                 .map(|(_, spec)| spec.service_type.clone())
                 .collect();
-            cache.insert(key, app.clone(), dep_types, epoch);
+            cache.insert(key, Arc::clone(&app), dep_types, epoch);
         }
         Ok(app)
+    }
+
+    /// The composition tier from scratch: discover, compose and OC-check
+    /// `request` against the registry with the standard transcoder
+    /// catalog and no spec expansion (what the cache's dependency set
+    /// assumes), then scale the demands by `demand_factor`.
+    fn compose_fresh(
+        &self,
+        request: &ComposeRequest<'_>,
+        demand_factor: f64,
+    ) -> Result<ComposedApplication, ConfigureError> {
+        let mut app = ServiceComposer::new(&self.registry).compose(request)?;
+        if demand_factor < 1.0 {
+            app.scale_resources(demand_factor);
+        }
+        Ok(app)
+    }
+
+    /// Places a composed application with `solver` against the residual
+    /// environment at uniform weights — the configurator's distribution
+    /// tier, with the solver the placement strategy picks.
+    fn place_on(
+        &self,
+        app: Arc<ComposedApplication>,
+        solver: &mut dyn ServiceDistributor,
+    ) -> Result<Configuration, ConfigureError> {
+        let weights = Weights::default();
+        let problem = OsdProblem::new(&app.graph, &self.env, &weights);
+        let cut = solver.distribute(&problem)?;
+        let cost = problem.cost(&cut);
+        Ok(Configuration { app, cut, cost })
     }
 
     /// Places a composed application with the persistent exhaustive
@@ -1618,14 +1688,12 @@ impl DomainServer {
     /// `warm` (a previous placement of the same session).
     fn place_optimal(
         &self,
-        app: ComposedApplication,
+        app: Arc<ComposedApplication>,
         warm: Option<&[usize]>,
     ) -> Result<Configuration, ConfigureError> {
-        let weights = Weights::default();
         let mut solver = self.optimal.lock().expect("solver lock");
         solver.set_warm_start(warm.map(<[usize]>::to_vec));
-        let problem = OsdProblem::new(&app.graph, &self.env, &weights);
-        let result = solver.distribute(&problem);
+        let placed = self.place_on(app, &mut *solver);
         if let Some(stats) = solver.last_stats() {
             let mut totals = self.placement_totals.lock().expect("placement totals lock");
             totals.solves += 1;
@@ -1635,9 +1703,7 @@ impl DomainServer {
             totals.nodes_expanded += stats.nodes_expanded;
             totals.pruned_bound += stats.pruned_bound;
         }
-        let cut = result?;
-        let cost = problem.cost(&cut);
-        Ok(Configuration { app, cut, cost })
+        placed
     }
 
     /// Places a composed application through the solver portfolio:
@@ -1647,14 +1713,12 @@ impl DomainServer {
     /// tally.
     fn place_portfolio(
         &self,
-        app: ComposedApplication,
+        app: Arc<ComposedApplication>,
         warm: Option<&[usize]>,
     ) -> Result<Configuration, ConfigureError> {
-        let weights = Weights::default();
         let mut solver = self.portfolio.lock().expect("portfolio lock");
         solver.set_warm_start(warm.map(<[usize]>::to_vec));
-        let problem = OsdProblem::new(&app.graph, &self.env, &weights);
-        let result = solver.distribute(&problem);
+        let placed = self.place_on(app, &mut *solver);
         if let Some(outcome) = solver.last_outcome() {
             let mut totals = self.placement_totals.lock().expect("placement totals lock");
             totals.solves += 1;
@@ -1667,9 +1731,7 @@ impl DomainServer {
                 totals.hierarchical_routes += 1;
             }
         }
-        let cut = result?;
-        let cost = problem.cost(&cut);
-        Ok(Configuration { app, cut, cost })
+        placed
     }
 
     /// The one configuration write (§3.3's sequence after composition
@@ -1685,7 +1747,7 @@ impl DomainServer {
         mut session: Session,
         (configuration, mut overhead): (Configuration, ConfigOverhead),
         activation: Activation,
-        label: String,
+        label: Cow<'static, str>,
     ) {
         overhead.downloading_ms = self.download_for(&configuration);
         overhead.init_or_handoff_ms = match activation {
@@ -1751,9 +1813,10 @@ impl DomainServer {
     fn download_for(&mut self, configuration: &Configuration) -> f64 {
         let wall = Instant::now();
         let mut total = 0.0;
+        let repository = Arc::make_mut(&mut self.repository);
         for inst in &configuration.app.instances {
             if let Some(device) = configuration.cut.part_of(inst.component) {
-                total += self.repository.ensure_installed(
+                total += repository.ensure_installed(
                     device,
                     &inst.instance_id,
                     inst.code_size_mb,
@@ -1811,8 +1874,9 @@ impl DomainServer {
             .into_iter()
             .map(|desc| desc.instance_id.clone())
             .collect();
+        let registry = Arc::make_mut(&mut self.registry);
         for instance_id in hosted {
-            if let Some(desc) = self.registry.unregister(&instance_id) {
+            if let Some(desc) = registry.unregister(&instance_id) {
                 self.hosted_stash.entry(d).or_default().push(desc);
             }
         }
@@ -1821,10 +1885,11 @@ impl DomainServer {
     /// Rewrites session `id`'s live graph so its first edge breaks
     /// Eq. 1 (the downstream end requires a format nobody offers), and
     /// records the write with a fresh summary, as a write site would.
-    /// Charges are unchanged.
+    /// Charges are unchanged. The composition is shared (with the cache
+    /// and any checkpoint), so the write copies it first.
     pub(crate) fn corrupt_eq1(&mut self, id: SessionId) {
         let s = self.sessions.get_mut(&id.0).expect("live session");
-        let graph = &mut s.configuration.app.graph;
+        let graph = &mut Arc::make_mut(&mut s.configuration.app).graph;
         let edge = graph.edges().next().expect("the session graph has an edge");
         let sink = graph.component_mut(edge.to).expect("edge endpoint");
         let broken = sink.qos_in().clone().with(
@@ -2225,10 +2290,11 @@ mod tests {
     #[test]
     fn start_session_is_speculation_then_adoption() {
         let start = |server: &mut DomainServer, decomposed: bool| {
-            let (graph, qos, client) = (audio_app(), QosVector::new(), DeviceId::from_index(1));
+            let graph = SharedGraph::new(audio_app());
+            let (qos, client) = (QosVector::new(), DeviceId::from_index(1));
             if decomposed {
                 let speculated = server.speculate_configure(&graph, &qos, client, None);
-                server.admit_speculated(|| "audio".to_owned(), || graph, qos, client, speculated)
+                server.admit_speculated(|| "audio".into(), &graph, qos, client, speculated)
             } else {
                 server.start_session("audio", graph, qos, client)
             }
@@ -2256,7 +2322,7 @@ mod tests {
         }
         // Speculating alone counts nothing: adoption does.
         let speculated = adopted.speculate_configure(
-            &audio_app(),
+            &SharedGraph::new(audio_app()),
             &QosVector::new(),
             DeviceId::from_index(1),
             None,

@@ -55,13 +55,15 @@
 //! cache semantically invisible.
 
 use crate::checkpoint::HandoffPlan;
+use crate::config_cache::SharedGraph;
 use crate::domain_server::{DomainServer, Session, SessionId};
 use crate::faults::{apply_fault, Shard};
 use crate::recovery::RecoveryReport;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use ubiqos::fault_report::fnv1a;
 use ubiqos::{ConfigureError, FaultReport};
-use ubiqos_graph::{AbstractServiceGraph, DeviceId};
+use ubiqos_graph::DeviceId;
 use ubiqos_model::QosVector;
 use ubiqos_sim::TimedFault;
 
@@ -99,16 +101,16 @@ pub(crate) enum ServerCall {
     /// `start_session` — an admission attempt (arrival, forwarded
     /// arrival, reservation, or late-commit re-admission).
     Start {
-        name: String,
-        graph: AbstractServiceGraph,
+        name: Arc<str>,
+        graph: SharedGraph,
         qos: QosVector,
         client_local: usize,
     },
     /// `park_arrival` — a session parked into the retry queue with a
     /// witnessed error.
     Park {
-        name: String,
-        graph: AbstractServiceGraph,
+        name: Arc<str>,
+        graph: SharedGraph,
         qos: QosVector,
         client_local: usize,
         err: ConfigureError,
@@ -326,8 +328,8 @@ fn apply_record(shard: &mut Shard, rec: &WalRecord, grace_ms: f64) {
 /// helpers and [`apply_call`] go through, so the two cannot drift apart.
 pub(crate) fn exec_start(
     server: &mut DomainServer,
-    name: String,
-    graph: AbstractServiceGraph,
+    name: Arc<str>,
+    graph: SharedGraph,
     qos: QosVector,
     client_local: usize,
 ) -> Result<SessionId, ConfigureError> {
@@ -338,8 +340,8 @@ pub(crate) fn exec_start(
 /// discovery scope).
 pub(crate) fn exec_park(
     server: &mut DomainServer,
-    name: String,
-    graph: AbstractServiceGraph,
+    name: Arc<str>,
+    graph: SharedGraph,
     qos: QosVector,
     client_local: usize,
     err: ConfigureError,
@@ -540,7 +542,7 @@ mod tests {
     fn start_call(i: usize) -> WalRecord {
         let (name, graph) = crate::faults::app_template(i % 5);
         WalRecord::Call(ServerCall::Start {
-            name: format!("{name}-{i}"),
+            name: format!("{name}-{i}").into(),
             graph,
             qos: QosVector::new(),
             client_local: i % 3,
@@ -556,6 +558,67 @@ mod tests {
         let rebuilt = snap.restore();
         assert_recovered_equal(&shard, &rebuilt, 0);
         assert_eq!(shard_fingerprint(&shard), shard_fingerprint(&rebuilt));
+    }
+
+    /// A checkpoint shares the live server's graphs, compositions, names
+    /// and rarely written tables, so every writer must copy before it
+    /// writes: no mutation of the live shard — sessions started and
+    /// stopped, a shared composition rewritten in place, a crash and
+    /// recovery that rewrite the registry — may reach the snapshot, and
+    /// no mutation of one restored shard may reach the next.
+    #[test]
+    fn checkpoints_are_isolated_from_later_writes() {
+        let mut shard = tiny_shard();
+        let (name, graph) = crate::faults::app_template(0);
+        let start = |server: &mut DomainServer, tag: &str, client: usize| {
+            exec_start(
+                server,
+                format!("{name}-{tag}").into(),
+                graph.clone(),
+                QosVector::new(),
+                client,
+            )
+            .expect("admits")
+        };
+        let s0 = start(&mut shard.server, "0", 0);
+        let s1 = start(&mut shard.server, "1", 1);
+        let before = shard.server.state_fingerprint();
+        let instances = shard.server.registry().instance_count();
+        let composed = shard
+            .server
+            .session(s0)
+            .expect("live")
+            .configuration
+            .clone();
+        let snap = ShardSnapshot::capture(&shard);
+
+        let mutate = |server: &mut DomainServer| {
+            exec_stop(server, s1.raw()).expect("held session stops");
+            start(server, "2", 2);
+            server.corrupt_eq1(s0);
+            // dev2 hosts a pinned source: the crash unregisters it.
+            server.handle_crash(DeviceId::from_index(2));
+            assert!(server.registry().instance_count() < instances);
+            server.recover_device(DeviceId::from_index(2));
+        };
+        mutate(&mut shard.server);
+        assert_ne!(
+            shard.server.state_fingerprint(),
+            before,
+            "the live shard moved"
+        );
+        let corrupted = &shard.server.session(s0).expect("live").configuration;
+        assert_ne!(*corrupted, composed, "the live composition was rewritten");
+
+        let mut restored = snap.restore();
+        assert_eq!(restored.server.state_fingerprint(), before);
+        assert_eq!(restored.server.registry().instance_count(), instances);
+        let kept = &restored.server.session(s0).expect("restored").configuration;
+        assert_eq!(*kept, composed, "the snapshot kept its composition");
+        assert_eq!(restored.server.check_ledger(None), Ok(()));
+
+        mutate(&mut restored.server);
+        assert_eq!(snap.restore().server.state_fingerprint(), before);
     }
 
     #[test]
@@ -602,7 +665,7 @@ mod tests {
         // exactly as they journal it.
         bookkeep(&mut shard, &mut wal, WalRecord::Advance { at_h: 0.25 });
         let (name, graph) = crate::faults::app_template(0);
-        let name = format!("{name}-0");
+        let name: Arc<str> = format!("{name}-0").into();
         wal.push(|| {
             WalRecord::Call(ServerCall::Start {
                 name: name.clone(),
@@ -625,7 +688,7 @@ mod tests {
         let err = ConfigureError::StaleView { device: 1 };
         wal.push(|| {
             WalRecord::Call(ServerCall::Park {
-                name: name.to_owned(),
+                name: name.into(),
                 graph: graph.clone(),
                 qos: QosVector::new(),
                 client_local: 1,
@@ -634,7 +697,7 @@ mod tests {
         });
         let s1 = exec_park(
             &mut shard.server,
-            name.to_owned(),
+            name.into(),
             graph,
             QosVector::new(),
             1,

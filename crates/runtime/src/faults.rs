@@ -95,6 +95,8 @@
 //! no heartbeat events exist, no extra RNG draws happen, no new log
 //! lines appear.
 
+use crate::config_cache::CompositionCacheStats;
+use crate::config_cache::SharedGraph;
 use crate::cost_model::LinkKind;
 use crate::domain_server::{DomainServer, PlacementStrategy, SessionId};
 use crate::durability::{
@@ -110,6 +112,7 @@ use rand::SeedableRng;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 use std::fmt::Write as _;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 use ubiqos::fault_report::{fnv1a_extend, FNV1A_OFFSET};
 use ubiqos::{ConfigureError, FaultReport};
@@ -502,6 +505,9 @@ pub struct CampaignOutcome {
     /// fills them: the serial loop reports `batches == 0` and every
     /// arrival as adopted or speculated inline.
     pub pipeline: Option<PipelineStats>,
+    /// The domain server's composition-cache counters at the end of the
+    /// run. Never feeds logs or digests.
+    pub cache: CompositionCacheStats,
 }
 
 /// One event in the merged campaign timeline.
@@ -712,39 +718,6 @@ pub(crate) struct Arrival {
     pub(crate) via: Option<usize>,
 }
 
-/// A value built on first read, at most once. (`std::cell::LazyCell`
-/// cannot hand its value out by move on stable Rust, and a started
-/// session takes the graph by move.)
-struct Lazy<T, F> {
-    /// Set once built; until then `init` holds the builder.
-    value: Option<T>,
-    init: Option<F>,
-}
-
-impl<T, F: FnOnce() -> T> Lazy<T, F> {
-    fn new(init: F) -> Self {
-        Lazy {
-            value: None,
-            init: Some(init),
-        }
-    }
-
-    /// The value, built now if this is the first read.
-    fn get(&mut self) -> &T {
-        let init = &mut self.init;
-        self.value
-            .get_or_insert_with(|| init.take().expect("a lazy value builds once")())
-    }
-
-    /// The value by move, built now if nothing read it before.
-    fn into_inner(self) -> T {
-        match self.value {
-            Some(value) => value,
-            None => self.init.expect("a lazy value builds once")(),
-        }
-    }
-}
-
 /// Renders an [`Arrival::via`] transcript tag (empty when the arrival
 /// was not forwarded).
 struct Via(Option<usize>);
@@ -842,29 +815,34 @@ impl ShardCore {
     /// a handler mutates the server: each journals its [`ServerCall`];
     /// all but this one call through the `exec_*` code replay uses.
     ///
-    /// The graph is built at most once, and only if something reads
-    /// it: the journaled record (a denial is journaled with its graph
-    /// too, since replay re-runs the start) or a started session.
+    /// The name is formatted at most once, and only if something reads
+    /// it: the journaled record (a denial is journaled too, since
+    /// replay re-runs the start) or a started session, which then share
+    /// it. The graph is shared by both.
     pub(crate) fn call_start(
         &mut self,
-        name: impl Fn() -> String,
-        graph: impl FnOnce() -> AbstractServiceGraph,
+        name: impl FnOnce() -> Arc<str>,
+        graph: &SharedGraph,
         qos: QosVector,
         client_local: usize,
         speculated: Speculated,
     ) -> Result<SessionId, ConfigureError> {
-        let mut graph = Lazy::new(graph);
+        let (mut build, mut formatted) = (Some(name), None);
+        let mut name = move || {
+            let build = || build.take().expect("the name is formatted once")();
+            Arc::clone(formatted.get_or_insert_with(build))
+        };
         self.wal.push(|| {
             WalRecord::Call(ServerCall::Start {
                 name: name(),
-                graph: graph.get().clone(),
+                graph: graph.clone(),
                 qos: qos.clone(),
                 client_local,
             })
         });
         let client = DeviceId::from_index(client_local);
         let server = &mut self.shard.server;
-        let started = server.admit_speculated(name, || graph.into_inner(), qos, client, speculated);
+        let started = server.admit_speculated(name, graph, qos, client, speculated);
         if started.is_ok() {
             self.memo.clear();
         }
@@ -874,8 +852,8 @@ impl ShardCore {
     /// Journaled `park_arrival`.
     pub(crate) fn call_park(
         &mut self,
-        name: String,
-        graph: AbstractServiceGraph,
+        name: Arc<str>,
+        graph: SharedGraph,
         qos: QosVector,
         client_local: usize,
         err: ConfigureError,
@@ -916,19 +894,19 @@ impl ShardCore {
     /// admitted). Any other refusal is returned untouched, for the
     /// caller to forward or deny.
     ///
-    /// The template graph is built only when something reads it — a
-    /// memo miss, a start, a stale-view park or a journaled record —
-    /// so a memoised refusal, the bulk of an overloaded campaign,
-    /// builds none.
+    /// The template graph is shared from the static table, and the
+    /// session name is formatted only when something reads it — a
+    /// start, a stale-view park or a journaled record — so a memoised
+    /// refusal, the bulk of an overloaded campaign, formats none.
     pub(crate) fn admit_arrival(&mut self, a: Arrival, at_h: f64) -> Result<(), ConfigureError> {
-        let (i, gi, name) = (a.req, a.graph_index, template_name(a.graph_index));
-        let mut graph = Lazy::new(|| app_template(gi).1);
-        let speculated =
-            self.memo
-                .take_or_speculate(&self.shard.server, gi, a.client_local, || graph.get());
+        let (i, gi) = (a.req, a.graph_index);
+        let (name, graph) = app_template(gi);
+        let speculated = self
+            .memo
+            .take_or_speculate(&self.shard.server, gi, a.client_local);
         let started = self.call_start(
-            || format!("{name}-{i}"),
-            || graph.into_inner(),
+            || format!("{name}-{i}").into(),
+            &graph,
             QosVector::new(),
             a.client_local,
             speculated,
@@ -936,8 +914,7 @@ impl ShardCore {
         let (id, charged) = match started {
             Ok(id) => (id, true),
             Err(e) if matches!(e, ConfigureError::StaleView { .. }) => {
-                let (_, graph) = app_template(gi);
-                let name = format!("{name}-{i}");
+                let name = format!("{name}-{i}").into();
                 (
                     self.call_park(name, graph, QosVector::new(), a.client_local, e),
                     false,
@@ -1444,14 +1421,28 @@ pub fn build_space(devices: usize) -> DomainServer {
     server
 }
 
-/// How many distinct templates [`app_template`] builds; a request's
+/// How many distinct templates [`app_template`] holds; a request's
 /// template is its graph index modulo this.
 pub(crate) const TEMPLATES: usize = 2;
 
 /// The campaign's application templates: index 0 is a consistent WAV
 /// pipeline, index 1 an MPEG source feeding a WAV-only player (forcing
 /// the composer to insert the catalog's MPEG→WAV transcoder).
-pub fn app_template(graph_index: usize) -> (&'static str, AbstractServiceGraph) {
+///
+/// The templates are interned: both are built and fingerprinted once,
+/// on the first call in the process, and every call after hands out a
+/// shared reference to the same graph.
+pub fn app_template(graph_index: usize) -> (&'static str, SharedGraph) {
+    static TABLE: OnceLock<[SharedGraph; TEMPLATES]> = OnceLock::new();
+    let table = TABLE.get_or_init(|| [build_template(0), build_template(1)]);
+    (
+        template_name(graph_index),
+        table[graph_index % TEMPLATES].clone(),
+    )
+}
+
+/// Builds template `graph_index` of [`app_template`]'s table.
+fn build_template(graph_index: usize) -> SharedGraph {
     let mut g = AbstractServiceGraph::new();
     if graph_index.is_multiple_of(TEMPLATES) {
         let s = g.add_spec(AbstractComponentSpec::new("wav-source"));
@@ -1463,10 +1454,10 @@ pub fn app_template(graph_index: usize) -> (&'static str, AbstractServiceGraph) 
             g.add_spec(AbstractComponentSpec::new("pcm-player").with_pin(PinHint::ClientDevice));
         g.add_edge(s, p, 2.5).expect("template edge");
     }
-    (template_name(graph_index), g)
+    SharedGraph::new(g)
 }
 
-/// The name of [`app_template`]`(graph_index)`, without building it.
+/// The name of [`app_template`]`(graph_index)`.
 pub(crate) fn template_name(graph_index: usize) -> &'static str {
     if graph_index.is_multiple_of(TEMPLATES) {
         "wav-audio"
@@ -1648,6 +1639,7 @@ pub(crate) fn run_fault_campaign_impl(
         log: core.log,
         stages: core.shard.server.stage_times(),
         pipeline: Some(core.memo.stats),
+        cache: core.shard.server.config_cache_stats(),
     })
 }
 

@@ -91,6 +91,8 @@
 //! exact log bytes — of the perfect run, while the zero-loss path
 //! stays byte-identical to the bare [`ChannelTransport`].
 
+use crate::config_cache::CompositionCacheStats;
+use crate::config_cache::SharedGraph;
 use crate::domain_server::SessionId;
 use crate::durability::{assert_recovered_equal, DurabilityConfig};
 use crate::faults::{
@@ -105,10 +107,11 @@ use crate::transport::{
 };
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 use ubiqos::fault_report::fnv1a;
 use ubiqos::{ConfigureError, FaultReport};
 use ubiqos_discovery::{DiscoveryQuery, DomainId, ServiceRegistry};
-use ubiqos_graph::{AbstractServiceGraph, DeviceId};
+use ubiqos_graph::DeviceId;
 use ubiqos_model::QosVector;
 use ubiqos_sim::{
     merge_schedules, EventQueue, FaultKind, MobilityWaveConfig, Request, ShardCrashPlan, TimedFault,
@@ -452,6 +455,10 @@ pub struct ShardOutcome {
     pub log: EventLog,
     /// Wall-clock stage profile (never feeds logs or digests).
     pub stages: StageTimes,
+    /// The shard server's composition-cache counters at the end of the
+    /// run, counted since its last snapshot restore (a restored server
+    /// starts with a cold cache). Never feeds logs or digests.
+    pub cache: CompositionCacheStats,
 }
 
 /// A finished federated campaign.
@@ -636,8 +643,8 @@ struct Handoff {
     dest: usize,
     sid: SessionId,
     is_move: bool,
-    name: String,
-    graph: AbstractServiceGraph,
+    name: Arc<str>,
+    graph: SharedGraph,
     qos: QosVector,
     client_local: usize,
     to_global: usize,
@@ -2007,7 +2014,7 @@ impl<'a> Engine<'a> {
                     .speculate_configure(&graph, &qos, client, None);
                 let (reservation, reply) = match core.call_start(
                     || name.clone(),
-                    || graph,
+                    &graph,
                     qos,
                     client_local,
                     speculated,
@@ -2167,7 +2174,7 @@ impl<'a> Engine<'a> {
                     let speculated = server.speculate_configure(&graph, &qos, client, None);
                     match core.call_start(
                         || name.clone(),
-                        || graph.clone(),
+                        &graph,
                         qos.clone(),
                         client_local,
                         speculated,
@@ -2278,6 +2285,7 @@ impl<'a> Engine<'a> {
             .into_iter()
             .map(|core| ShardOutcome {
                 stages: core.shard.server.stage_times(),
+                cache: core.shard.server.config_cache_stats(),
                 report: core.shard.report,
                 log: core.log,
             })

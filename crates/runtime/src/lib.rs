@@ -65,7 +65,7 @@ pub mod streaming;
 pub mod transport;
 
 pub use checkpoint::{Checkpoint, HandoffPhase, HandoffPlan};
-pub use config_cache::{CompositionCache, CompositionCacheStats};
+pub use config_cache::{CompositionCache, CompositionCacheStats, SharedGraph};
 pub use cost_model::{CostModel, LinkKind};
 pub use domain_server::{DomainServer, PlacementStrategy, PlacementTotals, Session, SessionId};
 pub use durability::DurabilityConfig;

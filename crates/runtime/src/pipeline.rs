@@ -97,7 +97,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::time::Instant;
 use ubiqos::{Configuration, ConfigureError};
-use ubiqos_graph::{AbstractServiceGraph, DeviceId};
+use ubiqos_graph::DeviceId;
 use ubiqos_model::QosVector;
 use ubiqos_parallel::par_map_threads;
 use ubiqos_sim::{EventQueue, Request, TimedFault};
@@ -178,15 +178,14 @@ impl SpecMemo {
 
     /// The outcome of an arrival of template `graph_index` at `client`:
     /// the memoised one, else a fresh (serial-path) speculation of the
-    /// template graph, which `graph` builds only on that miss.
-    /// Failures stay until the next clear, so a denial run costs one
-    /// configuration; a success is consumed (its start clears anyway).
-    pub(crate) fn take_or_speculate<'g>(
+    /// template graph. Failures stay until the next clear, so a denial
+    /// run costs one configuration; a success is consumed (its start
+    /// clears anyway).
+    pub(crate) fn take_or_speculate(
         &mut self,
         server: &DomainServer,
         graph_index: usize,
         client: usize,
-        graph: impl FnOnce() -> &'g AbstractServiceGraph,
     ) -> Speculated {
         let slot = SpecMemo::slot(graph_index, client);
         let speculated = match self.slots[slot].take() {
@@ -196,8 +195,9 @@ impl SpecMemo {
             }
             None => {
                 self.stats.inline_speculated += 1;
+                let (_, graph) = app_template(graph_index);
                 let client = DeviceId::from_index(client);
-                server.speculate_configure(graph(), &QosVector::new(), client, None)
+                server.speculate_configure(&graph, &QosVector::new(), client, None)
             }
         };
         if let Err(e) = &speculated {

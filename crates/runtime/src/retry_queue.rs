@@ -217,13 +217,14 @@ mod tests {
                 graph,
                 report: OcReport::default(),
                 instances: Vec::new(),
-            },
+            }
+            .into(),
             cut,
             cost: 0.0,
         };
         Session {
             name: "t".into(),
-            abstract_graph: ubiqos_graph::AbstractServiceGraph::new(),
+            abstract_graph: ubiqos_graph::AbstractServiceGraph::new().into(),
             user_qos: QosVector::new(),
             client_device: DeviceId::from_index(0),
             domain: None,

@@ -589,6 +589,18 @@ impl<T: Deserialize> Deserialize for Box<T> {
     }
 }
 
+impl<T: Serialize + ?Sized> Serialize for std::sync::Arc<T> {
+    fn to_value(&self) -> Value {
+        (**self).to_value()
+    }
+}
+
+impl<T: Deserialize> Deserialize for std::sync::Arc<T> {
+    fn from_value(value: &Value) -> Result<Self, Error> {
+        T::from_value(value).map(std::sync::Arc::new)
+    }
+}
+
 /// Support plumbing for the derive macros. Not part of the public API.
 #[doc(hidden)]
 pub mod __private {

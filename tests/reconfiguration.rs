@@ -193,7 +193,7 @@ fn overhead_log_records_every_reconfiguration() {
         .unwrap()
         .overhead_log
         .iter()
-        .map(|(label, _)| label.as_str())
+        .map(|(label, _)| label.as_ref())
         .collect();
     assert_eq!(labels, ["start", "switch d1 -> d2", "switch d2 -> d3"]);
 
