@@ -142,11 +142,28 @@ impl<'r> ServiceComposer<'r> {
     /// Creates a composer with the standard transcoder catalog, an empty
     /// expansion library, and all corrections enabled.
     pub fn new(registry: &'r ServiceRegistry) -> Self {
+        Self::from_parts(
+            registry,
+            TranscoderCatalog::standard(),
+            ExpansionLibrary::new(),
+            CorrectionPolicy::all(),
+        )
+    }
+
+    /// Creates a composer from its composition knowledge directly, for a
+    /// caller that already holds a catalog: nothing is built only to be
+    /// replaced.
+    pub fn from_parts(
+        registry: &'r ServiceRegistry,
+        catalog: TranscoderCatalog,
+        library: ExpansionLibrary,
+        policy: CorrectionPolicy,
+    ) -> Self {
         ServiceComposer {
             registry,
-            catalog: TranscoderCatalog::standard(),
-            library: ExpansionLibrary::new(),
-            policy: CorrectionPolicy::all(),
+            catalog,
+            library,
+            policy,
         }
     }
 

@@ -149,10 +149,12 @@ impl<'r> ServiceConfigurator<'r> {
         &self,
         request: &ConfigureRequest<'_>,
     ) -> Result<ComposedApplication, ConfigureError> {
-        let composer = ServiceComposer::new(self.registry)
-            .with_catalog(self.catalog.clone())
-            .with_library(self.library.clone())
-            .with_policy(self.policy);
+        let composer = ServiceComposer::from_parts(
+            self.registry,
+            self.catalog.clone(),
+            self.library.clone(),
+            self.policy,
+        );
         Ok(composer.compose(&ComposeRequest {
             abstract_graph: request.abstract_graph,
             user_qos: request.user_qos.clone(),

@@ -1,8 +1,9 @@
 //! The distributor interface shared by all placement algorithms.
 
+use crate::device::Device;
 use crate::error::DistributionError;
 use crate::problem::OsdProblem;
-use ubiqos_graph::Cut;
+use ubiqos_graph::{Cut, ServiceComponent};
 
 /// A service distribution algorithm: maps an OSD problem instance to a
 /// k-cut that fits the environment.
@@ -51,13 +52,7 @@ pub(crate) fn seed_with_pins(
         if let Some(pin) = c.pinned_to() {
             let d = pin.index();
             if !c.resources().fits_within(&residual[d]) {
-                return Err(DistributionError::Infeasible {
-                    reason: format!(
-                        "pinned component {} does not fit device {}",
-                        c.name(),
-                        env.devices()[d].name()
-                    ),
-                });
+                return Err(pin_misfit(c, &env.devices()[d]));
             }
             residual[d] = residual[d].saturating_sub(c.resources())?;
             assignment[id.index()] = Some(d);
@@ -66,12 +61,22 @@ pub(crate) fn seed_with_pins(
     Ok((assignment, residual))
 }
 
+/// The error for a pinned component that does not fit its device.
+pub(crate) fn pin_misfit(component: &ServiceComponent, device: &Device) -> DistributionError {
+    DistributionError::Infeasible {
+        reason: format!(
+            "pinned component {} does not fit device {}",
+            component.name(),
+            device.name()
+        ),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device::Device;
     use crate::environment::Environment;
-    use ubiqos_graph::{DeviceId, ServiceComponent, ServiceGraph};
+    use ubiqos_graph::{DeviceId, ServiceGraph};
     use ubiqos_model::{ResourceVector, Weights};
 
     #[test]

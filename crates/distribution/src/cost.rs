@@ -1,7 +1,7 @@
 //! Cost aggregation (Definition 3.5).
 
 use crate::environment::Environment;
-use ubiqos_graph::{Cut, ServiceGraph};
+use ubiqos_graph::{ComponentId, Cut, ServiceGraph};
 use ubiqos_model::{Weights, EPSILON};
 
 /// Computes the cost aggregation `CA(Φ)` of a cut (Definition 3.5):
@@ -38,16 +38,17 @@ pub fn cost_aggregation(
         cut.parts() <= env.device_count(),
         "cut has more parts than the environment has devices"
     );
+    let mut loads = Loads::default();
+    let consistent = loads.fill(graph, cut);
+    assert!(consistent, "consistent resource dimensions");
     let mut total = 0.0;
 
     // End-system term.
     for part in 0..cut.parts() {
-        let used = cut
-            .part_resource_sum(graph, part)
-            .expect("consistent resource dimensions");
+        let used = loads.part(part);
         let avail = env.devices()[part].availability();
         for (i, &w) in weights.resource().iter().enumerate() {
-            let r = used.get(i).unwrap_or(0.0);
+            let r = used.get(i).copied().unwrap_or(0.0);
             if r <= EPSILON {
                 continue;
             }
@@ -60,10 +61,10 @@ pub fn cost_aggregation(
     }
 
     // Network term, over ordered pairs i != j.
-    let t = cut.inter_part_throughput(graph);
     let w_net = weights.network();
-    for (i, row) in t.iter().enumerate() {
-        for (j, &crossing) in row.iter().enumerate() {
+    for i in 0..cut.parts() {
+        for j in 0..cut.parts() {
+            let crossing = loads.throughput(i, j);
             if i == j || crossing <= EPSILON {
                 continue;
             }
@@ -75,6 +76,85 @@ pub fn cost_aggregation(
         }
     }
     total
+}
+
+/// What a cut loads onto its parts, gathered in one pass over the
+/// components and one over the edges: each part's summed resource
+/// demand (a flat `parts × dim` array) and the directed throughput
+/// crossing from part `i` to part `j` (a flat `parts × parts` array).
+/// [`cost_aggregation`] and [`crate::OsdProblem::fits`] both read it; a
+/// caller that keeps one `Loads` across cuts allocates for none of them.
+///
+/// Sums accumulate in component-id order and throughputs in edge order,
+/// exactly as [`Cut::part_resource_sum`] and
+/// [`Cut::inter_part_throughput`] do. Starting a sum from `0.0` rather
+/// than from its first member can only turn a `-0.0` into `0.0`, which
+/// every `≤ EPSILON` test reads the same.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Loads {
+    dim: usize,
+    parts: usize,
+    sums: Vec<f64>,
+    throughput: Vec<f64>,
+}
+
+impl Loads {
+    /// Fills the loads of `cut`, reusing the buffers. The dimension is
+    /// the first component's (2 for an empty graph, as
+    /// [`Cut::part_resource_sum`] assumes); returns `false`, with the
+    /// loads unusable, when some component's dimension differs.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `cut` assigns a component the graph does not have, or
+    /// an edge touches a component the cut does not assign.
+    pub(crate) fn fill(&mut self, graph: &ServiceGraph, cut: &Cut) -> bool {
+        let dim = graph
+            .components()
+            .next()
+            .map_or(2, |(_, c)| c.resources().dim());
+        let k = cut.parts();
+        self.dim = dim;
+        self.parts = k;
+        self.sums.clear();
+        self.sums.resize(k * dim, 0.0);
+        self.throughput.clear();
+        self.throughput.resize(k * k, 0.0);
+        for c in 0..cut.len() {
+            let id = ComponentId::from_index(c);
+            let r = graph
+                .component(id)
+                .expect("cut assignment indexes valid components")
+                .resources()
+                .amounts();
+            if r.len() != dim {
+                return false;
+            }
+            let part = cut.part_of(id).expect("component is assigned");
+            for (slot, &x) in self.sums[part * dim..(part + 1) * dim].iter_mut().zip(r) {
+                *slot += x;
+            }
+        }
+        for e in graph.edges() {
+            let i = cut.part_of(e.from).expect("edge source is assigned");
+            let j = cut.part_of(e.to).expect("edge target is assigned");
+            if i != j {
+                self.throughput[i * k + j] += e.throughput;
+            }
+        }
+        true
+    }
+
+    /// Part `p`'s summed resource demand.
+    pub(crate) fn part(&self, p: usize) -> &[f64] {
+        &self.sums[p * self.dim..(p + 1) * self.dim]
+    }
+
+    /// The throughput crossing from part `i` to part `j` (zero when
+    /// `i == j`).
+    pub(crate) fn throughput(&self, i: usize, j: usize) -> f64 {
+        self.throughput[i * self.parts + j]
+    }
 }
 
 #[cfg(test)]

@@ -31,16 +31,34 @@
 //! O(E log E + n log n) plus n steps. Every float operation runs in the
 //! same order as a step-by-step rescan would, so the placements are
 //! bit-identical to it.
+//!
+//! Each [`GreedyHeuristic`] owns a private workspace that every call
+//! clears, resizes and reuses, and never frees: the assignment, the
+//! residuals as one flat `k × dim` array, the requirement weights and
+//! ranks, both adjacency halves, the unassigned and per-device
+//! neighbour bitmaps (one flat `k × ⌈n/64⌉` array), the crossing and
+//! fit-check matrices, the availability keys, the device order and the
+//! scratch of the final Definition 3.4 re-check. Once the buffers have
+//! grown to an instance's size, a call on an instance no larger
+//! allocates only the [`Cut`] it returns (and the message of an
+//! `Infeasible` error). Keep one heuristic per caller to benefit; a
+//! fresh one per call allocates its buffers once.
 
-use crate::algorithm::{seed_with_pins, ServiceDistributor};
+use crate::algorithm::{pin_misfit, ServiceDistributor};
+use crate::cost::Loads;
 use crate::error::DistributionError;
-use crate::problem::OsdProblem;
+use crate::problem::{fits_within, OsdProblem};
+use std::fmt;
 use ubiqos_graph::{ComponentId, Cut, ServiceGraph};
+use ubiqos_model::EPSILON;
 
 /// The greedy clustering heuristic, with ablation switches.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// `Debug`, `Clone` and `==` see the configuration only: a clone starts
+/// with an empty workspace, and two heuristics with the same switches
+/// are equal whatever they placed before.
 pub struct GreedyHeuristic {
-    name: String,
+    name: &'static str,
     /// Re-sort devices by residual availability before every placement
     /// (the paper's behaviour). When false, devices are visited in fixed
     /// index order — the `heuristic_unsorted` ablation.
@@ -49,35 +67,33 @@ pub struct GreedyHeuristic {
     /// paper's behaviour). When false, always take the globally heaviest
     /// unassigned component — the `heuristic_nomerge` ablation.
     cluster_adjacency: bool,
+    workspace: Workspace,
 }
 
 impl GreedyHeuristic {
+    fn with_switches(name: &'static str, resort_devices: bool, cluster_adjacency: bool) -> Self {
+        GreedyHeuristic {
+            name,
+            resort_devices,
+            cluster_adjacency,
+            workspace: Workspace::default(),
+        }
+    }
+
     /// The algorithm exactly as the paper describes it.
     pub fn paper() -> Self {
-        GreedyHeuristic {
-            name: "heuristic".into(),
-            resort_devices: true,
-            cluster_adjacency: true,
-        }
+        Self::with_switches("heuristic", true, true)
     }
 
     /// Ablation: never re-sorts the device list.
     pub fn without_device_resort() -> Self {
-        GreedyHeuristic {
-            name: "heuristic-unsorted".into(),
-            resort_devices: false,
-            cluster_adjacency: true,
-        }
+        Self::with_switches("heuristic-unsorted", false, true)
     }
 
     /// Ablation: ignores cluster adjacency when choosing the next
     /// component.
     pub fn without_cluster_adjacency() -> Self {
-        GreedyHeuristic {
-            name: "heuristic-nomerge".into(),
-            resort_devices: true,
-            cluster_adjacency: false,
-        }
+        Self::with_switches("heuristic-nomerge", true, false)
     }
 }
 
@@ -87,50 +103,181 @@ impl Default for GreedyHeuristic {
     }
 }
 
+impl fmt::Debug for GreedyHeuristic {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("GreedyHeuristic")
+            .field("name", &self.name)
+            .field("resort_devices", &self.resort_devices)
+            .field("cluster_adjacency", &self.cluster_adjacency)
+            .finish()
+    }
+}
+
+impl Clone for GreedyHeuristic {
+    fn clone(&self) -> Self {
+        Self::with_switches(self.name, self.resort_devices, self.cluster_adjacency)
+    }
+}
+
+impl PartialEq for GreedyHeuristic {
+    fn eq(&self, other: &Self) -> bool {
+        (self.name, self.resort_devices, self.cluster_adjacency)
+            == (other.name, other.resort_devices, other.cluster_adjacency)
+    }
+}
+
+impl Eq for GreedyHeuristic {}
+
 impl ServiceDistributor for GreedyHeuristic {
     fn name(&self) -> &str {
-        &self.name
+        self.name
     }
 
     fn distribute(&mut self, problem: &OsdProblem<'_>) -> Result<Cut, DistributionError> {
+        self.workspace
+            .place(problem, self.resort_devices, self.cluster_adjacency)
+    }
+}
+
+/// The greedy's per-call state, kept between calls so that placing an
+/// instance no larger than an earlier one allocates nothing. Every field
+/// is cleared and resized before it is read.
+#[derive(Default)]
+struct Workspace {
+    /// The device of each placed component.
+    assignment: Vec<Option<usize>>,
+    /// Residual availability, device `d`'s at `d * dim..(d + 1) * dim`.
+    residual: Vec<f64>,
+    /// The requirement scalarization weights, and the supply scratch
+    /// that computes them.
+    weights: Vec<f64>,
+    supply: Vec<f64>,
+    /// Each component's weighted requirement, the components in rank
+    /// order, and each component's rank.
+    requirement: Vec<f64>,
+    by_rank: Vec<usize>,
+    rank: Vec<usize>,
+    /// Every edge's `(target, throughput)` in edge order, from which the
+    /// adjacency halves read their throughputs.
+    targets: Vec<(usize, f64)>,
+    preds: Adjacency,
+    succs: Adjacency,
+    /// The unassigned ranks, and per device the unassigned ranks with a
+    /// placed neighbour there (device `d`'s words at
+    /// `d * words..(d + 1) * words`), as bitmaps.
+    unassigned: Vec<u64>,
+    near: Vec<u64>,
+    /// Crossing throughput per ordered device pair, and the fit check's
+    /// scratch, both `k × k`.
+    crossing: Vec<f64>,
+    extra: Vec<f64>,
+    /// Each device's weighted residual availability, and the devices in
+    /// visiting order.
+    avail_key: Vec<f64>,
+    order: Vec<usize>,
+    /// Scratch of the final Definition 3.4 re-check.
+    loads: Loads,
+}
+
+impl Workspace {
+    fn place(
+        &mut self,
+        problem: &OsdProblem<'_>,
+        resort_devices: bool,
+        cluster_adjacency: bool,
+    ) -> Result<Cut, DistributionError> {
+        problem.validate()?;
         let graph = problem.graph();
         let env = problem.env();
         let k = env.device_count();
         let n = graph.component_count();
-        let (mut assignment, mut residual) = seed_with_pins(problem)?;
+        // `validate` has checked that every device and component shares
+        // the first device's dimension.
+        let dim = env.devices()[0].availability().dim();
+        let words = n.div_ceil(64);
+        let Workspace {
+            assignment,
+            residual,
+            weights,
+            supply,
+            requirement,
+            by_rank,
+            rank,
+            targets,
+            preds,
+            succs,
+            unassigned,
+            near,
+            crossing,
+            extra,
+            avail_key,
+            order,
+            loads,
+        } = self;
         let component = |c: usize| {
             graph
                 .component(ComponentId::from_index(c))
                 .expect("dense ids")
         };
+        let row = |d: usize| d * dim..(d + 1) * dim;
+
+        // Pinned components first, charged to their devices' residuals.
+        assignment.clear();
+        assignment.resize(n, None);
+        residual.clear();
+        for dev in env.devices() {
+            residual.extend_from_slice(dev.availability().amounts());
+        }
+        for (id, c) in graph.components() {
+            if let Some(pin) = c.pinned_to() {
+                let d = pin.index();
+                let demand = c.resources().amounts();
+                if !fits_within(demand, &residual[row(d)]) {
+                    return Err(pin_misfit(c, &env.devices()[d]));
+                }
+                saturating_sub(&mut residual[row(d)], demand);
+                assignment[id.index()] = Some(d);
+            }
+        }
 
         // Each component's weighted requirement, and its rank in the
         // (requirement desc, id asc) order: the heaviest member of a
-        // `RankSet` is its lowest rank.
-        let weights = requirement_weights(problem);
-        let requirement: Vec<f64> = graph
-            .components()
-            .map(|(_, c)| c.resources().weighted_sum(&weights))
-            .collect();
-        let mut by_rank: Vec<usize> = (0..n).collect();
-        by_rank.sort_by(|&a, &b| requirement_order(requirement[b], requirement[a]).then(a.cmp(&b)));
-        let mut rank = vec![0usize; n];
+        // rank bitmap is its lowest rank. The order is total, so the
+        // unstable sort is deterministic.
+        requirement_weights(problem, weights, supply);
+        requirement.clear();
+        requirement.extend(
+            graph
+                .components()
+                .map(|(_, c)| c.resources().weighted_sum(weights)),
+        );
+        by_rank.clear();
+        by_rank.extend(0..n);
+        by_rank.sort_unstable_by(|&a, &b| {
+            requirement_order(requirement[b], requirement[a]).then(a.cmp(&b))
+        });
+        rank.clear();
+        rank.resize(n, 0);
         for (r, &c) in by_rank.iter().enumerate() {
             rank[c] = r;
         }
-        let (preds, succs) = Adjacency::of_graph(graph);
+        Adjacency::fill(graph, targets, preds, succs);
+        let (preds, succs) = (&*preds, &*succs);
 
         // Unassigned components, and per device the unassigned ones with
         // a neighbour (either direction) already placed there.
-        let mut unassigned = RankSet::new(n);
-        let mut near: Vec<RankSet> = (0..k).map(|_| RankSet::new(n)).collect();
+        unassigned.clear();
+        unassigned.resize(words, 0);
+        near.clear();
+        near.resize(k * words, 0);
+        let near_of = |d: usize| d * words..(d + 1) * words;
         for c in 0..n {
             match assignment[c] {
-                None => unassigned.insert(rank[c]),
+                None => insert(unassigned, rank[c]),
                 Some(d) => {
                     for &(u, _) in preds.of(c).iter().chain(succs.of(c)) {
                         if assignment[u].is_none() {
-                            near[d].insert(rank[u]);
+                            insert(&mut near[near_of(d)], rank[u]);
                         }
                     }
                 }
@@ -140,7 +287,8 @@ impl ServiceDistributor for GreedyHeuristic {
         // Crossing throughput accumulated per ordered device pair
         // (`crossing[i * k + j]`), including edges among pinned
         // components.
-        let mut crossing = vec![0.0; k * k];
+        crossing.clear();
+        crossing.resize(k * k, 0.0);
         for e in graph.edges() {
             if let (Some(i), Some(j)) = (assignment[e.from.index()], assignment[e.to.index()]) {
                 if i != j {
@@ -149,19 +297,20 @@ impl ServiceDistributor for GreedyHeuristic {
             }
         }
         // Scratch for `fits`: only row and column `d` are ever written.
-        let mut extra = vec![0.0; k * k];
+        extra.clear();
+        extra.resize(k * k, 0.0);
 
         // Definition 3.4 fit check for placing `c` on `d`: end-system
         // resources within the residual, and every edge to an
         // already-placed neighbor within the remaining link bandwidth.
         let fits = |c: usize,
                     d: usize,
-                    residual: &[ubiqos_model::ResourceVector],
+                    residual: &[f64],
                     assignment: &[Option<usize>],
                     crossing: &[f64],
                     extra: &mut [f64]|
          -> bool {
-            if !component(c).resources().fits_within(&residual[d]) {
+            if !fits_within(component(c).resources().amounts(), &residual[row(d)]) {
                 return false;
             }
             for o in 0..k {
@@ -190,7 +339,7 @@ impl ServiceDistributor for GreedyHeuristic {
                 let added = extra[i * k + j] + extra[j * k + i];
                 added > 0.0
                     && crossing[i * k + j] + crossing[j * k + i] + added
-                        > env.bandwidth().get(i, j) + ubiqos_model::EPSILON
+                        > env.bandwidth().get(i, j) + EPSILON
             };
             !(0..k).filter(|&o| o != d).any(overloads)
         };
@@ -203,15 +352,14 @@ impl ServiceDistributor for GreedyHeuristic {
         // the charged device at its new position. The sequence of orders is
         // identical to what repeated full sorts would produce.
         let device_weights = problem.weights().resource();
-        let mut avail_key: Vec<f64> = residual
-            .iter()
-            .map(|r| r.weighted_sum(device_weights))
-            .collect();
+        avail_key.clear();
+        avail_key.extend((0..k).map(|d| weighted_sum(&residual[row(d)], device_weights)));
         let precedes = |key: &[f64], a: usize, b: usize| -> bool {
             key[a] > key[b] || (key[a] == key[b] && a < b)
         };
-        let mut order: Vec<usize> = (0..k).collect();
-        if self.resort_devices {
+        order.clear();
+        order.extend(0..k);
+        if resort_devices {
             order.sort_by(|&a, &b| {
                 avail_key[b]
                     .partial_cmp(&avail_key[a])
@@ -220,14 +368,14 @@ impl ServiceDistributor for GreedyHeuristic {
             });
         }
 
-        while let Some(heaviest) = unassigned.first() {
+        while let Some(heaviest) = first(unassigned) {
             // Choose the next component relative to the *head* device:
             // the heaviest unassigned neighbor of its cluster, or — when
             // the head is empty (or cluster adjacency is ablated) — the
             // globally heaviest unassigned component.
             let head = order[0];
-            let cluster_neighbor = if self.cluster_adjacency {
-                near[head].first()
+            let cluster_neighbor = if cluster_adjacency {
+                first(&near[near_of(head)])
             } else {
                 None
             };
@@ -239,7 +387,7 @@ impl ServiceDistributor for GreedyHeuristic {
             // device now never will: the request is unsuccessful.
             let Some(&d) = order
                 .iter()
-                .find(|&&d| fits(c, d, &residual, &assignment, &crossing, &mut extra))
+                .find(|&&d| fits(c, d, residual, assignment, crossing, extra))
             else {
                 return Err(DistributionError::Infeasible {
                     reason: format!(
@@ -248,14 +396,14 @@ impl ServiceDistributor for GreedyHeuristic {
                     ),
                 });
             };
-            residual[d] = residual[d].saturating_sub(component(c).resources())?;
-            if self.resort_devices {
+            saturating_sub(&mut residual[row(d)], component(c).resources().amounts());
+            if resort_devices {
                 // Only device `d`'s key changed (it can only shrink);
                 // remove it and binary-search its new slot.
-                avail_key[d] = residual[d].weighted_sum(device_weights);
+                avail_key[d] = weighted_sum(&residual[row(d)], device_weights);
                 let old_pos = order.iter().position(|&x| x == d).expect("d is in order");
                 order.remove(old_pos);
-                let new_pos = order.partition_point(|&x| precedes(&avail_key, x, d));
+                let new_pos = order.partition_point(|&x| precedes(avail_key, x, d));
                 order.insert(new_pos, d);
             }
             for &(p, tp) in preds.of(c) {
@@ -273,23 +421,20 @@ impl ServiceDistributor for GreedyHeuristic {
                 }
             }
             assignment[c] = Some(d);
-            unassigned.remove(rank[c]);
-            for set in &mut near {
-                set.remove(rank[c]);
+            remove(unassigned, rank[c]);
+            for w in near.iter_mut().skip(rank[c] / 64).step_by(words) {
+                *w &= !(1 << (rank[c] % 64));
             }
             for &(u, _) in preds.of(c).iter().chain(succs.of(c)) {
                 if assignment[u].is_none() {
-                    near[d].insert(rank[u]);
+                    insert(&mut near[near_of(d)], rank[u]);
                 }
             }
         }
 
-        let cut = Cut::from_assignment(
+        let cut = Cut::from_parts(
             graph,
-            assignment
-                .into_iter()
-                .map(|a| a.expect("all assigned"))
-                .collect(),
+            assignment.iter().map(|a| a.expect("all assigned")),
             k,
         )
         .expect("assignment is complete and in range");
@@ -297,7 +442,7 @@ impl ServiceDistributor for GreedyHeuristic {
         // Both halves of Definition 3.4 hold by construction (resources
         // and link bandwidth are checked at every placement); the final
         // check also re-verifies pins and guards against arithmetic bugs.
-        if !problem.fits(&cut) {
+        if !problem.fits_using(&cut, loads) {
             return Err(DistributionError::Infeasible {
                 reason: "placement violates fit-into constraints".into(),
             });
@@ -306,16 +451,36 @@ impl ServiceDistributor for GreedyHeuristic {
     }
 }
 
+/// [`ubiqos_model::ResourceVector::saturating_sub`] in place:
+/// `available ← max(available − demand, 0)`.
+fn saturating_sub(available: &mut [f64], demand: &[f64]) {
+    for (a, b) in available.iter_mut().zip(demand) {
+        *a = (*a - b).max(0.0);
+    }
+}
+
+/// [`ubiqos_model::ResourceVector::weighted_sum`] on raw amounts, summed
+/// in the same order.
+fn weighted_sum(amounts: &[f64], weights: &[f64]) -> f64 {
+    amounts.iter().zip(weights).map(|(a, w)| a * w).sum()
+}
+
 /// Scalarization weights for "largest availability / largest
-/// requirement" (footnote 3). The paper assigns "higher weights for
-/// more critical resources"; criticalness here is measured as the
-/// instance's aggregate demand/supply ratio per resource type, so the
-/// scarce dimension dominates the ordering. The user's cost weights
-/// scale the ratios, keeping deliberate priorities in play.
-fn requirement_weights(problem: &OsdProblem<'_>) -> Vec<f64> {
+/// requirement" (footnote 3), written into `weights` (`supply` is
+/// scratch). The paper assigns "higher weights for more critical
+/// resources"; criticalness here is measured as the instance's aggregate
+/// demand/supply ratio per resource type, so the scarce dimension
+/// dominates the ordering. The user's cost weights scale the ratios,
+/// keeping deliberate priorities in play.
+fn requirement_weights(problem: &OsdProblem<'_>, weights: &mut Vec<f64>, supply: &mut Vec<f64>) {
     let dim = problem.weights().resource_dim();
-    let mut demand = vec![0.0; dim];
-    let mut supply = vec![0.0; dim];
+    // `weights` holds the demand until the last step turns it into
+    // the weights.
+    let demand = weights;
+    demand.clear();
+    demand.resize(dim, 0.0);
+    supply.clear();
+    supply.resize(dim, 0.0);
     for (_, c) in problem.graph().components() {
         for (i, slot) in demand.iter_mut().enumerate() {
             *slot += c.resources().get(i).unwrap_or(0.0);
@@ -326,19 +491,18 @@ fn requirement_weights(problem: &OsdProblem<'_>) -> Vec<f64> {
             *slot += d.availability().get(i).unwrap_or(0.0);
         }
     }
-    problem
-        .weights()
-        .resource()
-        .iter()
-        .enumerate()
-        .map(|(i, &w)| {
-            if supply[i] > 0.0 && demand[i] > 0.0 {
-                w * demand[i] / supply[i]
-            } else {
-                w
-            }
-        })
-        .collect()
+    for ((slot, &w), &supplied) in demand
+        .iter_mut()
+        .zip(problem.weights().resource())
+        .zip(supply.iter())
+    {
+        let demanded = *slot;
+        *slot = if supplied > 0.0 && demanded > 0.0 {
+            w * demanded / supplied
+        } else {
+            w
+        };
+    }
 }
 
 /// Orders two requirements as `partial_cmp` does (`-0.0 == 0.0`), made
@@ -351,26 +515,33 @@ fn requirement_order(a: f64, b: f64) -> std::cmp::Ordering {
 /// One direction of a graph's adjacency with each edge's throughput,
 /// flattened: component `c`'s neighbours, in the graph's adjacency
 /// order, are `list[start[c]..start[c + 1]]`.
+#[derive(Default)]
 struct Adjacency {
     start: Vec<usize>,
     list: Vec<(usize, f64)>,
 }
 
 impl Adjacency {
-    /// Every component's predecessors and successors, in the graph's
-    /// adjacency order, with their edges' throughputs. The graph lists
-    /// its edges grouped by source and sorted by target, so each
-    /// throughput is a binary search within its source's run.
-    fn of_graph(graph: &ServiceGraph) -> (Self, Self) {
-        let targets: Vec<(usize, f64)> = graph
-            .edges()
-            .map(|e| (e.to.index(), e.throughput))
-            .collect();
-        let mut run = Vec::with_capacity(graph.component_count() + 1);
+    /// Refills every component's predecessors and successors, in the
+    /// graph's adjacency order, with their edges' throughputs. The graph
+    /// lists its edges grouped by source and sorted by target, so each
+    /// throughput is a binary search within its source's run of
+    /// `targets`; a source's run is where its successors start.
+    fn fill(
+        graph: &ServiceGraph,
+        targets: &mut Vec<(usize, f64)>,
+        preds: &mut Adjacency,
+        succs: &mut Adjacency,
+    ) {
+        targets.clear();
+        targets.extend(graph.edges().map(|e| (e.to.index(), e.throughput)));
+        let run = &mut succs.start;
+        run.clear();
         run.push(0);
         for c in graph.component_ids() {
             run.push(run[c.index()] + graph.successors(c).len());
         }
+        let run = &*run;
         let throughput = |from: ComponentId, to: ComponentId| {
             let out = &targets[run[from.index()]..run[from.index() + 1]];
             let at = out
@@ -378,33 +549,27 @@ impl Adjacency {
                 .expect("edge exists");
             out[at].1
         };
-        let incoming = Adjacency::build(graph, |c| {
-            graph
-                .predecessors(c)
-                .iter()
-                .map(move |&p| (p, throughput(p, c)))
-        });
-        let outgoing = Adjacency::build(graph, |c| {
-            graph
-                .successors(c)
-                .iter()
-                .map(move |&s| (s, throughput(c, s)))
-        });
-        (incoming, outgoing)
-    }
-
-    fn build<I>(graph: &ServiceGraph, neighbours: impl Fn(ComponentId) -> I) -> Self
-    where
-        I: Iterator<Item = (ComponentId, f64)>,
-    {
-        let mut start = Vec::with_capacity(graph.component_count() + 1);
-        let mut list = Vec::with_capacity(graph.edge_count());
+        preds.start.clear();
+        preds.list.clear();
         for c in graph.component_ids() {
-            start.push(list.len());
-            list.extend(neighbours(c).map(|(x, tp)| (x.index(), tp)));
+            preds.start.push(preds.list.len());
+            preds.list.extend(
+                graph
+                    .predecessors(c)
+                    .iter()
+                    .map(|&p| (p.index(), throughput(p, c))),
+            );
         }
-        start.push(list.len());
-        Adjacency { start, list }
+        preds.start.push(preds.list.len());
+        succs.list.clear();
+        for c in graph.component_ids() {
+            succs.list.extend(
+                graph
+                    .successors(c)
+                    .iter()
+                    .map(|&s| (s.index(), throughput(c, s))),
+            );
+        }
     }
 
     fn of(&self, c: usize) -> &[(usize, f64)] {
@@ -412,37 +577,27 @@ impl Adjacency {
     }
 }
 
-/// A set of ranks as a bitmap; the smallest member is the first set bit.
-struct RankSet {
-    words: Vec<u64>,
+/// Adds rank `r` to a bitmap.
+fn insert(set: &mut [u64], r: usize) {
+    set[r / 64] |= 1 << (r % 64);
 }
 
-impl RankSet {
-    fn new(len: usize) -> Self {
-        RankSet {
-            words: vec![0; len.div_ceil(64)],
-        }
-    }
+/// Removes rank `r` from a bitmap.
+fn remove(set: &mut [u64], r: usize) {
+    set[r / 64] &= !(1 << (r % 64));
+}
 
-    fn insert(&mut self, r: usize) {
-        self.words[r / 64] |= 1 << (r % 64);
-    }
-
-    fn remove(&mut self, r: usize) {
-        self.words[r / 64] &= !(1 << (r % 64));
-    }
-
-    fn first(&self) -> Option<usize> {
-        self.words
-            .iter()
-            .position(|&w| w != 0)
-            .map(|i| i * 64 + self.words[i].trailing_zeros() as usize)
-    }
+/// A bitmap's smallest rank: its first set bit.
+fn first(set: &[u64]) -> Option<usize> {
+    set.iter()
+        .position(|&w| w != 0)
+        .map(|i| i * 64 + set[i].trailing_zeros() as usize)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithm::seed_with_pins;
     use crate::device::Device;
     use crate::environment::Environment;
     use proptest::prelude::*;
@@ -998,6 +1153,77 @@ mod tests {
         }
     }
 
+    /// Distributes the instances of `seeds` in turn with one heuristic per
+    /// variant, each compared with the reference; returns the paper
+    /// variant's results when all agree.
+    fn reuse_matches_reference(seeds: &[u64]) -> Result<Vec<Placement>, String> {
+        let w = Weights::default();
+        let mut reused = variants();
+        let mut out = Vec::new();
+        for &seed in seeds {
+            let (g, env) = oracle_instance(seed);
+            let p = OsdProblem::new(&g, &env, &w);
+            for (v, alg) in reused.iter_mut().enumerate() {
+                let (got, want) = (alg.distribute(&p), reference_distribute(alg, &p));
+                if got != want {
+                    return Err(format!(
+                        "seeds {seeds:?}, at {seed}, {}: got {got:?}, reference {want:?}",
+                        alg.name()
+                    ));
+                }
+                if v == 0 {
+                    out.push(got);
+                }
+            }
+        }
+        Ok(out)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// A heuristic reused across instances whose size and outcome
+        /// vary places each exactly as the reference does: nothing a
+        /// call leaves in the workspace, after a placement or a failure,
+        /// reaches the next call.
+        #[test]
+        fn reused_workspace_matches_the_reference(
+            seeds in proptest::collection::vec(0u64..1_000_000, 8..17)
+        ) {
+            reuse_matches_reference(&seeds)?;
+        }
+    }
+
+    /// The reuse check above reaches what it is meant to: along one
+    /// sequence of instances the component and device counts both
+    /// shrink between calls, and placements, placement failures and
+    /// pins that do not fit follow one another.
+    #[test]
+    fn reused_workspace_sees_shrinking_instances_and_every_outcome() {
+        let seeds: Vec<u64> = (0..200).collect();
+        let results = reuse_matches_reference(&seeds).unwrap();
+        let sizes: Vec<(usize, usize)> = seeds
+            .iter()
+            .map(|&s| {
+                let (g, env) = oracle_instance(s);
+                (g.component_count(), env.device_count())
+            })
+            .collect();
+        assert!(sizes.windows(2).any(|w| w[1].0 < w[0].0));
+        assert!(sizes.windows(2).any(|w| w[1].1 < w[0].1));
+        let reason = |r: &Placement| match r {
+            Err(DistributionError::Infeasible { reason }) => reason.clone(),
+            _ => String::new(),
+        };
+        assert!(results.iter().any(Result::is_ok));
+        assert!(results
+            .iter()
+            .any(|r| reason(r).contains("fits no remaining")));
+        assert!(results
+            .iter()
+            .any(|r| reason(r).starts_with("pinned component")));
+    }
+
     /// Fixed seeds on which the oracle confirms the cases the proptest is
     /// meant to reach: placements and failures, requirement ties among
     /// free components, and placements that bandwidth bends (widening
@@ -1011,7 +1237,8 @@ mod tests {
             failed += results.iter().filter(|r| r.is_err()).count();
             let (g, mut env) = oracle_instance(seed);
             let w = Weights::default();
-            let weights = requirement_weights(&OsdProblem::new(&g, &env, &w));
+            let (mut weights, mut supply) = (Vec::new(), Vec::new());
+            requirement_weights(&OsdProblem::new(&g, &env, &w), &mut weights, &mut supply);
             let mut free: Vec<u64> = g
                 .components()
                 .filter(|(_, c)| c.pinned_to().is_none())

@@ -1,6 +1,6 @@
 //! The Optimal Service Distribution (OSD) problem instance.
 
-use crate::cost::cost_aggregation;
+use crate::cost::{cost_aggregation, Loads};
 use crate::environment::Environment;
 use crate::error::DistributionError;
 use ubiqos_graph::{Cut, ServiceGraph};
@@ -54,6 +54,13 @@ impl<'a> OsdProblem<'a> {
     /// available bandwidth. Pins are also enforced: a cut placing a pinned
     /// component elsewhere does not fit.
     pub fn fits(&self, cut: &Cut) -> bool {
+        self.fits_using(cut, &mut Loads::default())
+    }
+
+    /// [`OsdProblem::fits`] with caller-owned scratch for the cut's loads,
+    /// so a solver that checks many cuts allocates for none of them.
+    /// Components whose resource dimensions disagree never fit.
+    pub(crate) fn fits_using(&self, cut: &Cut, loads: &mut Loads) -> bool {
         if cut.len() != self.graph.component_count() || cut.parts() > self.env.device_count() {
             return false;
         }
@@ -61,12 +68,13 @@ impl<'a> OsdProblem<'a> {
             Ok(true) => {}
             _ => return false,
         }
+        if !loads.fill(self.graph, cut) {
+            return false;
+        }
         // Resource constraints.
         for part in 0..cut.parts() {
-            let Ok(used) = cut.part_resource_sum(self.graph, part) else {
-                return false;
-            };
-            if !used.fits_within(self.env.devices()[part].availability()) {
+            let avail = self.env.devices()[part].availability().amounts();
+            if !fits_within(loads.part(part), avail) {
                 return false;
             }
         }
@@ -75,12 +83,12 @@ impl<'a> OsdProblem<'a> {
         // channel, one link), so both directions draw from the same pool:
         // `T(i,j) + T(j,i) ≤ b(i,j)`. This matches the admission
         // accounting in [`crate::Environment::charge_cut`].
-        let t = cut.inter_part_throughput(self.graph);
         let k = cut.parts();
-        #[allow(clippy::needless_range_loop)] // t[i][j] + t[j][i]: pair-symmetric indexing
         for i in 0..k {
             for j in (i + 1)..k {
-                if t[i][j] + t[j][i] > self.env.bandwidth().get(i, j) + EPSILON {
+                if loads.throughput(i, j) + loads.throughput(j, i)
+                    > self.env.bandwidth().get(i, j) + EPSILON
+                {
                     return false;
                 }
             }
@@ -141,10 +149,23 @@ impl<'a> OsdProblem<'a> {
     }
 }
 
+/// [`ubiqos_model::ResourceVector::fits_within`] on raw amounts:
+/// `demand ≤ available + EPSILON` in every dimension.
+pub(crate) fn fits_within(demand: &[f64], available: &[f64]) -> bool {
+    demand.len() == available.len()
+        && demand
+            .iter()
+            .zip(available)
+            .all(|(r, ra)| *r <= *ra + EPSILON)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::device::Device;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use ubiqos_graph::{DeviceId, ServiceComponent};
     use ubiqos_model::ResourceVector;
 
@@ -259,5 +280,212 @@ mod tests {
         let split = Cut::from_assignment(&g, vec![0, 1], 2).unwrap();
         assert!(p.cost(&split).is_finite());
         assert!(p.cost(&split) > 0.0);
+    }
+
+    /// The per-part `fits`, the oracle for [`OsdProblem::fits`]: one
+    /// resource vector per part and a `k × k` matrix of rows.
+    fn reference_fits(p: &OsdProblem<'_>, cut: &Cut) -> bool {
+        if cut.len() != p.graph.component_count() || cut.parts() > p.env.device_count() {
+            return false;
+        }
+        match cut.respects_pins(p.graph) {
+            Ok(true) => {}
+            _ => return false,
+        }
+        for part in 0..cut.parts() {
+            let Ok(used) = cut.part_resource_sum(p.graph, part) else {
+                return false;
+            };
+            if !used.fits_within(p.env.devices()[part].availability()) {
+                return false;
+            }
+        }
+        let t = cut.inter_part_throughput(p.graph);
+        let k = cut.parts();
+        #[allow(clippy::needless_range_loop)] // t[i][j] + t[j][i]: pair-symmetric indexing
+        for i in 0..k {
+            for j in (i + 1)..k {
+                if t[i][j] + t[j][i] > p.env.bandwidth().get(i, j) + EPSILON {
+                    return false;
+                }
+            }
+        }
+        true
+    }
+
+    /// The per-part cost aggregation, the oracle for
+    /// [`crate::cost::cost_aggregation`].
+    fn reference_cost(p: &OsdProblem<'_>, cut: &Cut) -> f64 {
+        let mut total = 0.0;
+        for part in 0..cut.parts() {
+            let used = cut
+                .part_resource_sum(p.graph, part)
+                .expect("consistent resource dimensions");
+            let avail = p.env.devices()[part].availability();
+            for (i, &w) in p.weights.resource().iter().enumerate() {
+                let r = used.get(i).unwrap_or(0.0);
+                if r <= EPSILON {
+                    continue;
+                }
+                let ra = avail.get(i).unwrap_or(0.0);
+                if ra <= EPSILON {
+                    return f64::INFINITY;
+                }
+                total += w * r / ra;
+            }
+        }
+        let t = cut.inter_part_throughput(p.graph);
+        let w_net = p.weights.network();
+        for (i, row) in t.iter().enumerate() {
+            for (j, &crossing) in row.iter().enumerate() {
+                if i == j || crossing <= EPSILON {
+                    continue;
+                }
+                let b = p.env.bandwidth().get(i, j);
+                if b <= EPSILON {
+                    return f64::INFINITY;
+                }
+                total += w_net * crossing / b;
+            }
+        }
+        total
+    }
+
+    /// A random instance and cut for the `fits`/`cost` oracle. Demands
+    /// and capacities sit on coarse grids with zeros, so sums tie
+    /// capacities and some devices have none of a resource; some
+    /// components are pinned; some links have no bandwidth. The cut may
+    /// use fewer parts than there are devices (leaving parts empty),
+    /// more parts than devices, or a different component count.
+    fn oracle_case(seed: u64) -> (ServiceGraph, Environment, Cut) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = rng.gen_range(0usize..9);
+        let k = rng.gen_range(1usize..5);
+        let mut g = ServiceGraph::new();
+        let ids: Vec<_> = (0..n)
+            .map(|i| {
+                let amount = |rng: &mut StdRng| rng.gen_range(0usize..4) as f64 * 8.0;
+                let mut b = ServiceComponent::builder(format!("c{i}"))
+                    .resources(ResourceVector::mem_cpu(amount(&mut rng), amount(&mut rng)));
+                if rng.gen_bool(0.2) {
+                    b = b.pinned_to(DeviceId::from_index(rng.gen_range(0..k)));
+                }
+                g.add_component(b.build())
+            })
+            .collect();
+        for i in 0..n {
+            for j in (i + 1)..n {
+                if rng.gen_bool(0.4) {
+                    g.add_edge(ids[i], ids[j], rng.gen_range(0usize..4) as f64 * 0.5)
+                        .unwrap();
+                }
+            }
+        }
+        let mut env = Environment::builder();
+        for d in 0..k {
+            let capacity = |rng: &mut StdRng| rng.gen_range(0usize..5) as f64 * 16.0;
+            env = env.device(Device::new(
+                format!("d{d}"),
+                ResourceVector::mem_cpu(capacity(&mut rng), capacity(&mut rng)),
+            ));
+        }
+        env = env.default_bandwidth_mbps([0.0, 1.0, 4.0][rng.gen_range(0usize..3)]);
+        for i in 0..k {
+            for j in (i + 1)..k {
+                if rng.gen_bool(0.3) {
+                    env = env.link_mbps(i, j, rng.gen_range(0usize..4) as f64);
+                }
+            }
+        }
+        let parts = rng.gen_range(1..=k + 1);
+        let len = if rng.gen_bool(0.1) {
+            (n + rng.gen_range(0usize..2) * 2).saturating_sub(1)
+        } else {
+            n
+        };
+        let mut shape = ServiceGraph::new();
+        for i in 0..len {
+            shape.add_component(ServiceComponent::builder(format!("s{i}")).build());
+        }
+        let assignment = (0..len).map(|_| rng.gen_range(0..parts)).collect();
+        let cut = Cut::from_assignment(&shape, assignment, parts).unwrap();
+        (g, env.build(), cut)
+    }
+
+    /// What the oracle saw on one case: the `fits` verdict, and the cost
+    /// when the cut is one `cost` accepts (the right length, no more
+    /// parts than devices).
+    fn fits_and_cost_match(seed: u64) -> Result<(bool, Option<f64>), String> {
+        let (g, env, cut) = oracle_case(seed);
+        let w = Weights::default();
+        let p = OsdProblem::new(&g, &env, &w);
+        let (fits, want) = (p.fits(&cut), reference_fits(&p, &cut));
+        if fits != want {
+            return Err(format!("seed {seed}: fits {fits}, reference {want}"));
+        }
+        if cut.len() != g.component_count() || cut.parts() > env.device_count() {
+            return Ok((fits, None));
+        }
+        let (cost, want) = (p.cost(&cut), reference_cost(&p, &cut));
+        if cost.to_bits() != want.to_bits() {
+            return Err(format!("seed {seed}: cost {cost:?}, reference {want:?}"));
+        }
+        Ok((fits, Some(cost)))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The one-pass `fits` and `cost` agree with the per-part bodies:
+        /// the same verdict and the same cost bits.
+        #[test]
+        fn one_pass_fits_and_cost_match_the_reference(seed in 0u64..1_000_000) {
+            fits_and_cost_match(seed)?;
+        }
+    }
+
+    /// Fixed seeds on which the oracle confirms the cases the proptest is
+    /// meant to reach: cuts that fit and cuts that do not, pins met and
+    /// violated, empty parts, infinite costs, and cuts of the wrong
+    /// length or with more parts than devices.
+    #[test]
+    fn fits_and_cost_oracle_covers_its_cases() {
+        let (mut fit, mut unfit, mut infinite, mut unpriced) = (0, 0, 0, 0);
+        let (mut pins_met, mut pins_violated, mut empty_parts) = (0, 0, 0);
+        for seed in 0..500 {
+            let (fits, cost) = fits_and_cost_match(seed).unwrap();
+            if fits {
+                fit += 1;
+            } else {
+                unfit += 1;
+            }
+            match cost {
+                Some(c) if c.is_infinite() => infinite += 1,
+                Some(_) => {}
+                None => unpriced += 1,
+            }
+            let (g, env, cut) = oracle_case(seed);
+            let pinned = g.components().any(|(_, c)| c.pinned_to().is_some());
+            if cut.len() == g.component_count() && pinned {
+                match cut.respects_pins(&g) {
+                    Ok(true) => pins_met += 1,
+                    _ => pins_violated += 1,
+                }
+            }
+            if cut.parts() < env.device_count() || !cut.is_proper() {
+                empty_parts += 1;
+            }
+        }
+        for (name, count) in [
+            ("fit", fit),
+            ("unfit", unfit),
+            ("infinite", infinite),
+            ("unpriced", unpriced),
+            ("pins met", pins_met),
+            ("pins violated", pins_violated),
+            ("empty parts", empty_parts),
+        ] {
+            assert!(count > 0, "no case was {name}");
+        }
     }
 }

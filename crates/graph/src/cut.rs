@@ -48,14 +48,33 @@ impl Cut {
         assignment: Vec<usize>,
         parts: usize,
     ) -> Option<Cut> {
-        if assignment.len() != graph.component_count() || parts == 0 {
+        Cut::from_parts(graph, assignment, parts)
+    }
+
+    /// [`Cut::from_assignment`] from any sequence of part indices, so a
+    /// caller holding the assignment in a reusable buffer can pass an
+    /// iterator over it: the cut's own vector is the only allocation.
+    pub fn from_parts(
+        graph: &ServiceGraph,
+        assignment: impl IntoIterator<Item = usize>,
+        parts: usize,
+    ) -> Option<Cut> {
+        if parts == 0 {
             return None;
         }
-        if assignment.iter().any(|&p| p >= parts) {
+        let n = graph.component_count();
+        let mut out = Vec::with_capacity(n);
+        for p in assignment {
+            if p >= parts || out.len() == n {
+                return None;
+            }
+            out.push(p as u32);
+        }
+        if out.len() != n {
             return None;
         }
         Some(Cut {
-            assignment: assignment.into_iter().map(|p| p as u32).collect(),
+            assignment: out,
             parts: parts as u32,
         })
     }

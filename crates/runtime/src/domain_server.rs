@@ -312,6 +312,11 @@ pub struct DomainServer {
     config_cache: Mutex<CompositionCache>,
     /// Distribution-tier strategy.
     placement: PlacementStrategy,
+    /// The cost weights every placement is made and priced at.
+    weights: Weights,
+    /// Persistent greedy heuristic for `Heuristic` placements: its
+    /// workspace keeps a configure's placement allocation-free.
+    heuristic: Mutex<GreedyHeuristic>,
     /// Persistent exhaustive solver, shared across every `Optimal`
     /// placement of a recovery pass.
     optimal: Mutex<ExhaustiveOptimal>,
@@ -389,6 +394,8 @@ impl DomainServer {
             retry_policy: RetryPolicy::default(),
             config_cache: Mutex::new(CompositionCache::new()),
             placement: PlacementStrategy::default(),
+            weights: Weights::default(),
+            heuristic: Mutex::new(GreedyHeuristic::paper()),
             optimal: Mutex::new(ExhaustiveOptimal::new()),
             portfolio: Mutex::new(SolverPortfolio::new()),
             placement_totals: Mutex::new(PlacementTotals::default()),
@@ -445,6 +452,8 @@ impl DomainServer {
             retry_policy: self.retry_policy,
             config_cache: Mutex::new(CompositionCache::new()),
             placement: self.placement,
+            weights: self.weights.clone(),
+            heuristic: Mutex::new(self.heuristic.lock().expect("heuristic lock").clone()),
             optimal: Mutex::new(self.optimal.lock().expect("solver lock").clone()),
             portfolio: Mutex::new(self.portfolio.lock().expect("portfolio lock").clone()),
             placement_totals: Mutex::new(*self.placement_totals.lock().expect("totals lock")),
@@ -1553,7 +1562,7 @@ impl DomainServer {
 
         let place = Instant::now();
         let placed = composed.and_then(|app| match self.placement {
-            PlacementStrategy::Heuristic => self.place_on(app, &mut GreedyHeuristic::paper()),
+            PlacementStrategy::Heuristic => self.place_heuristic(app),
             PlacementStrategy::Optimal { warm_start } => {
                 self.place_optimal(app, if warm_start { warm } else { None })
             }
@@ -1676,11 +1685,25 @@ impl DomainServer {
         app: Arc<ComposedApplication>,
         solver: &mut dyn ServiceDistributor,
     ) -> Result<Configuration, ConfigureError> {
-        let weights = Weights::default();
-        let problem = OsdProblem::new(&app.graph, &self.env, &weights);
+        let problem = OsdProblem::new(&app.graph, &self.env, &self.weights);
         let cut = solver.distribute(&problem)?;
         let cost = problem.cost(&cut);
         Ok(Configuration { app, cut, cost })
+    }
+
+    /// Places a composed application with the persistent greedy
+    /// heuristic. Speculation runs configures of one server on several
+    /// workers at once; one that finds the heuristic busy places with a
+    /// fresh one instead of waiting. Both place identically: the
+    /// workspace only saves allocations.
+    fn place_heuristic(
+        &self,
+        app: Arc<ComposedApplication>,
+    ) -> Result<Configuration, ConfigureError> {
+        match self.heuristic.try_lock() {
+            Ok(mut heuristic) => self.place_on(app, &mut *heuristic),
+            Err(_) => self.place_on(app, &mut GreedyHeuristic::paper()),
+        }
     }
 
     /// Places a composed application with the persistent exhaustive
